@@ -19,7 +19,7 @@ test-race:
 
 vet:
 	$(GO) vet ./...
-	gofmt -l .
+	test -z "$$(gofmt -l . | tee /dev/stderr)"
 
 # A short deterministic-ish shake of every fuzz target; run the targets
 # individually with a longer -fuzztime to dig.

@@ -80,7 +80,7 @@ type Report struct {
 	// Cluster10k is the ROADMAP's 10k-rank point itself: eighty 128-core
 	// nodes, 10,240 ranks, one hierarchical broadcast — runnable inside
 	// the CI smoke budget now that per-rank state is arena-backed.
-	Cluster10k ClusterLine    `json:"cluster_10k"`
+	Cluster10k ClusterLine `json:"cluster_10k"`
 	// Cluster10kIntra re-runs the 10k-rank cell serially and under
 	// intra-cell parallelism (one engine per node plus a fabric engine,
 	// conservative time windows) and records both wall clocks plus the

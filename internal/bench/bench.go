@@ -281,6 +281,15 @@ func MeasureCtx(ctx context.Context, cfg Config) (Result, error) {
 				var leader bool
 				fl, leader = flightJoin(key)
 				if leader {
+					// A leader that stored the entry and finished between
+					// the peek and the join leaves this caller leading a
+					// flight for a cell already cached: peek again so it
+					// is never simulated twice.
+					if ent, ok := memoPeek(key); ok {
+						flightDone(key, fl, true)
+						memo.hits.Add(1)
+						return Result{Config: cfg, Seconds: ent.Seconds, Stats: ent.Stats}, nil
+					}
 					break
 				}
 				memo.deduped.Add(1)

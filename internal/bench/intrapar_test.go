@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -215,5 +216,56 @@ func TestZeroLookaheadRejected(t *testing.T) {
 	}
 	if parallelEligible(clusterCellNP(cl, OpBarrier, 0), nil) {
 		t.Fatal("zero-lookahead cluster reported eligible")
+	}
+}
+
+// TestIntraParallelRepeatedUnderRace runs partitioned cluster cells
+// several times with at least two OS threads, so the engines of each
+// window really execute concurrently, and checks every run against the
+// serial one bit for bit. The shape — 16-core nodes behind a fast switch —
+// lets one node's leader create or destroy a KNEM region on the fabric
+// engine in the same window as another node's members resolve theirs, so
+// under -race it proves the node-linked region table is guarded.
+func TestIntraParallelRepeatedUnderRace(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	DisableCache()
+	box := topology.Synthetic(topology.SyntheticSpec{
+		Boards: 1, SocketsPerBoard: 8, CoresPerSocket: 2,
+		BusBW: 35e9, LinkBW: 18e9,
+		CacheSize: 8 << 20, CachePortBW: 60e9,
+		Spec: topology.Dancer().Spec,
+	})
+	ccfg := topology.ClusterConfig{
+		Name:   "race",
+		Switch: &topology.SwitchSpec{Name: "tor", BW: 12e9, Lat: 2e-6},
+	}
+	for _, name := range []string{"a", "b", "c", "d", "e"} {
+		ccfg.Nodes = append(ccfg.Nodes, topology.NodeSpec{Name: name, Machine: "box"})
+	}
+	cl, err := topology.CompileCluster(ccfg, func(string) (*topology.Machine, error) { return box, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range []int64{16 * KiB, 40 * KiB} {
+		cfg := clusterCellNP(cl, OpBcast, size)
+		if !parallelEligible(cfg, nil) {
+			t.Fatalf("size %d: cell is outside the intra-cell parallel envelope", size)
+		}
+		serial, err := MeasureForced(context.Background(), cfg, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for run := 0; run < 3; run++ {
+			par, err := MeasureForced(context.Background(), cfg, true)
+			if err != nil {
+				t.Fatalf("size %d run %d: %v", size, run, err)
+			}
+			if par.Seconds != serial.Seconds || !reflect.DeepEqual(par.Stats, serial.Stats) {
+				t.Fatalf("size %d run %d diverges from serial:\nparallel: %.17g %s\nserial:   %.17g %s",
+					size, run, par.Seconds, par.Stats.String(), serial.Seconds, serial.Stats.String())
+			}
+		}
 	}
 }

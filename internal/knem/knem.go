@@ -32,6 +32,7 @@ package knem
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/fault"
 	"repro/internal/memsim"
@@ -92,8 +93,10 @@ func (r *Region) Len() int64 { return r.total }
 // through all of them, like processes of one node sharing one /dev/knem.
 // Mutation (Create/Destroy) must stay on a single engine at a time; linked
 // readers on other engines are ordered by the conservative window barrier
-// that also orders the data they copy.
+// that also orders the data they copy. Those engines still run on parallel
+// goroutines, so mu guards the table.
 type table struct {
+	mu         sync.RWMutex
 	regions    map[Cookie]*Region
 	next       Cookie
 	regionPool []*Region
@@ -204,7 +207,11 @@ func (m *Module) putViews(vs []memsim.View) {
 func (m *Module) Net() *memsim.Net { return m.net }
 
 // ActiveRegions returns the number of live regions (leak checks in tests).
-func (m *Module) ActiveRegions() int { return len(m.tab.regions) }
+func (m *Module) ActiveRegions() int {
+	m.tab.mu.RLock()
+	defer m.tab.mu.RUnlock()
+	return len(m.tab.regions)
+}
 
 func (m *Module) trap(p *sim.Proc) {
 	m.stats.KernelTraps++
@@ -239,11 +246,13 @@ func (m *Module) Create(p *sim.Proc, owner int, views []memsim.View, dir Directi
 		}
 	}
 	p.Wait(float64(pages) * m.net.Machine().Spec.PinPerPage)
+	m.tab.mu.Lock()
 	m.tab.next++
 	r := m.newRegion()
 	r.cookie, r.owner, r.dir, r.total, r.pages = m.tab.next, owner, dir, total, pages
 	r.segs = append(r.segs, views...)
 	m.tab.regions[r.cookie] = r
+	m.tab.mu.Unlock()
 	m.stats.Registrations++
 	return r.cookie, nil
 }
@@ -260,6 +269,8 @@ func (m *Module) CreateView(p *sim.Proc, owner int, v memsim.View, dir Direction
 // Destroy deregisters a region.
 func (m *Module) Destroy(p *sim.Proc, c Cookie) error {
 	m.trap(p)
+	m.tab.mu.Lock()
+	defer m.tab.mu.Unlock()
 	r, ok := m.tab.regions[c]
 	if !ok {
 		return ErrInvalidCookie
@@ -275,6 +286,8 @@ func (m *Module) Destroy(p *sim.Proc, c Cookie) error {
 // invalidate tears a region down behind its users' backs (injected cookie
 // invalidation); the next access observes ErrInvalidCookie.
 func (m *Module) invalidate(c Cookie) {
+	m.tab.mu.Lock()
+	defer m.tab.mu.Unlock()
 	r, ok := m.tab.regions[c]
 	if !ok {
 		return
@@ -451,6 +464,10 @@ func (m *Module) resolve(local []memsim.View, c Cookie, remoteOff int64, dir Dir
 	case dir != DirRead && dir != DirWrite:
 		err = fmt.Errorf("knem: copy must be exactly DirRead or DirWrite")
 	default:
+		// The views are copied out of the region, so the lock need not
+		// outlive this call.
+		m.tab.mu.RLock()
+		defer m.tab.mu.RUnlock()
 		r, ok := m.tab.regions[c]
 		switch {
 		case !ok:

@@ -47,14 +47,29 @@ type Net struct {
 	// solver skip the full water-filling when a flow joins or leaves
 	// without sharing any link with the rest (see addFlow/onCompletion)
 	// and seeds the working weights without a per-flow pass.
+	//
+	// active lists exactly the links with linkWeight > 0, in no particular
+	// order; activePos[i] is i's position in it plus one (0 = absent). The
+	// solver visits only these links, so its cost tracks the links in use
+	// rather than the size of the machine.
 	linkWeight []float64
+	active     []int
+	activePos  []int
+
+	// provAt is the earliest completion instant over the flows with a rate,
+	// min f.last + f.remaining/f.rate, kept exact by every path that
+	// changes a flow's rate or the flow set (see scheduleProvisional).
+	provAt sim.Time
 
 	// Persistent water-filling scratch (wf*) and startCopy scratch (use*):
-	// sized to len(mach.Links) once, reused on every call so the hot paths
-	// allocate nothing.
+	// the per-link tables are carved from three allocations sized to
+	// len(mach.Links) once (allocLinkTables) and reused on every call, so
+	// the hot paths allocate nothing.
 	wfFixed  []float64
 	wfWeight []float64
-	wfSat    []bool
+	wfShare  []float64
+	wfLinks  []int
+	wfFlows  []*flow
 	useEpoch int64
 	useMark  []int64
 	useMult  []float64
@@ -84,12 +99,12 @@ type Net struct {
 	islDomLo, islDomHi     []int32
 
 	// Intra-cell partition state (NewPartition). linkLo/linkHi bound the
-	// solver's link loops; a guarded partition additionally panics if a
-	// flow strays outside its slice, and records every flow's simulated
-	// interval for the post-run soundness audit. bufBase keeps partition
-	// buffer IDs disjoint. foreignRanges/foreignSpans are the fabric-side
-	// audit state: intervals of fabric flows that crossed into a node's
-	// link slice, per node.
+	// partition's link slice; a guarded partition panics if a flow strays
+	// outside it, and records every flow's simulated interval for the
+	// post-run soundness audit. bufBase keeps partition buffer IDs
+	// disjoint. foreignRanges/foreignSpans are the fabric-side audit
+	// state: intervals of fabric flows that crossed into a node's link
+	// slice, per node.
 	linkLo, linkHi int
 	linkGuard      bool
 	recordSpans    bool
@@ -113,7 +128,6 @@ type flow struct {
 	uses      []linkUse
 	remaining float64
 	rate      float64
-	fixed     bool // water-filling working state
 	started   sim.Time
 	// last is the instant of the flow's most recent depletion: its start,
 	// or the last time its rate changed. Depletion is lazy per flow (see
@@ -192,16 +206,31 @@ func New(eng *sim.Engine, m *topology.Machine, stats *trace.Stats) *Net {
 		n.routeGroup[c.Vertex] = rg
 	}
 	nl := len(m.Links)
-	n.linkWeight = make([]float64, nl)
-	n.wfFixed = make([]float64, nl)
-	n.wfWeight = make([]float64, nl)
-	n.wfSat = make([]bool, nl)
-	n.useMark = make([]int64, nl)
-	n.useMult = make([]float64, nl)
+	n.allocLinkTables(nl)
 	n.onCompletionFn = n.onCompletion
 	n.repriceFn = n.flushReprice
 	n.linkLo, n.linkHi = 0, nl
 	return n
+}
+
+// allocLinkTables sizes the per-link solver and startCopy tables for a
+// machine of nl links, carving them from one float and one int allocation
+// plus the copy-stamp table. useMark stays int64 because useEpoch never
+// rewinds and must not wrap on a 32-bit int. The active and wfLinks lists
+// hold each link at most once, so their capacity never needs to grow.
+func (n *Net) allocLinkTables(nl int) {
+	fs := make([]float64, 5*nl)
+	n.linkWeight = fs[0*nl : 1*nl : 1*nl]
+	n.wfFixed = fs[1*nl : 2*nl : 2*nl]
+	n.wfWeight = fs[2*nl : 3*nl : 3*nl]
+	n.wfShare = fs[3*nl : 4*nl : 4*nl]
+	n.useMult = fs[4*nl : 5*nl : 5*nl]
+	is := make([]int, 3*nl)
+	n.activePos = is[0*nl : 1*nl : 1*nl]
+	n.active = is[1*nl : 1*nl : 2*nl]
+	n.wfLinks = is[2*nl : 2*nl : 3*nl]
+	n.useMark = make([]int64, nl)
+	n.provAt = math.Inf(1)
 }
 
 // Reset returns the memory system to its initial state — no flows, cold
@@ -236,6 +265,7 @@ func (n *Net) Reset(stats *trace.Stats) {
 	}
 	n.flows = n.flows[:0]
 	n.completion = nil
+	n.provAt = math.Inf(1)
 	n.nextBuf, n.flowSeq = 0, 0
 	n.repricePending, n.needSolve = false, false
 	n.rateSolves = 0
@@ -243,9 +273,11 @@ func (n *Net) Reset(stats *trace.Stats) {
 	for i := range n.foreignSpans {
 		n.foreignSpans[i] = n.foreignSpans[i][:0]
 	}
-	for i := range n.linkWeight {
-		n.linkWeight[i] = 0
+	// Every link with nonzero weight is on the active list.
+	for _, i := range n.active {
+		n.linkWeight[i], n.activePos[i] = 0, 0
 	}
+	n.active = n.active[:0]
 	// useEpoch stays monotone: useMark entries still carry old stamps, and
 	// a rewound epoch could collide with them.
 }
@@ -569,6 +601,10 @@ func (n *Net) addFlow(f *flow) {
 		}
 	}
 	for _, u := range f.uses {
+		if n.linkWeight[u.idx] == 0 {
+			n.activePos[u.idx] = len(n.active) + 1
+			n.active = append(n.active, u.idx)
+		}
 		n.linkWeight[u.idx] += u.mult
 	}
 	if disjoint {
@@ -579,10 +615,27 @@ func (n *Net) addFlow(f *flow) {
 			}
 		}
 		f.rate = rate
+		// No other rate moved, so the earliest completion can only move
+		// earlier, to the newcomer's. A contended newcomer is unpriced
+		// (rate 0) until the solve and leaves provAt alone.
+		if t := f.last + f.remaining/f.rate; t < n.provAt {
+			n.provAt = t
+		}
 		n.requestReprice(false)
 		return
 	}
 	n.requestReprice(true)
+}
+
+// deactivate removes link i, whose weight just dropped to zero, from the
+// active list by moving the last entry into its slot.
+func (n *Net) deactivate(i int) {
+	p := n.activePos[i] - 1
+	last := n.active[len(n.active)-1]
+	n.active[p] = last
+	n.activePos[last] = p + 1
+	n.active = n.active[:len(n.active)-1]
+	n.activePos[i] = 0
 }
 
 // requestReprice is called on every flow change. Under a running engine
@@ -628,10 +681,22 @@ func (n *Net) requestReprice(solve bool) {
 // at zero forever (a same-instant livelock starving the flush).
 const provisionalFar = 1.0
 
+// testHookProvAt, when set (tests only), runs each time
+// scheduleProvisional is about to consume the running minimum.
+var testHookProvAt func(n *Net)
+
 // scheduleProvisional mirrors scheduleNext's cancel/schedule pair but
 // tolerates flows the deferred solve has not priced yet (rate 0): their
 // completion target is unknown mid-burst, so the event's time is only
 // provisional. flushReprice retimes it once the final rates stand.
+//
+// The target is provAt, the minimum over the priced flows, which every
+// flow change keeps exact without rescanning the flow set: flushReprice
+// and scheduleNext take it from the scan they already make, onCompletion
+// from its pass over the survivors (whose state it does not touch), and
+// addFlow's fast path folds in the one newly priced flow. Rates change
+// nowhere else, and a minimum does not depend on scan order, so the
+// target is bit-identical to a full rescan.
 func (n *Net) scheduleProvisional() {
 	if n.completion != nil {
 		n.completion.Cancel()
@@ -640,16 +705,11 @@ func (n *Net) scheduleProvisional() {
 	if len(n.flows) == 0 {
 		return
 	}
-	now := n.eng.Now()
-	at := math.Inf(1)
-	for _, f := range n.flows {
-		if f.rate <= 0 {
-			continue
-		}
-		if t := f.last + f.remaining/f.rate; t < at {
-			at = t
-		}
+	if testHookProvAt != nil {
+		testHookProvAt(n)
 	}
+	now := n.eng.Now()
+	at := n.provAt
 	if math.IsInf(at, 1) {
 		// Every flow is still unpriced (e.g. the only rated flow just
 		// finished at this instant while a new burst is pending): park
@@ -674,19 +734,12 @@ func (n *Net) flushReprice() {
 			n.recomputeRates()
 		}
 	}
+	n.provAt = n.earliestCompletion()
 	if n.completion == nil {
 		return
 	}
 	now := n.eng.Now()
-	at := math.Inf(1)
-	for _, f := range n.flows {
-		if f.rate <= 0 {
-			panic("memsim: flow with zero rate")
-		}
-		if t := f.last + f.remaining/f.rate; t < at {
-			at = t
-		}
-	}
+	at := n.provAt
 	if at < now {
 		at = now
 	}
@@ -738,10 +791,20 @@ func (n *Net) scheduleNext() {
 		n.completion.Cancel()
 		n.completion = nil
 	}
+	n.provAt = n.earliestCompletion()
 	if len(n.flows) == 0 {
 		return
 	}
-	now := n.eng.Now()
+	at := n.provAt
+	if now := n.eng.Now(); at < now {
+		at = now
+	}
+	n.completion = n.eng.ScheduleOwnedAt(at, n.onCompletionFn)
+}
+
+// earliestCompletion scans every flow, all of which must be priced, for
+// the earliest completion instant (+Inf with no flows).
+func (n *Net) earliestCompletion() sim.Time {
 	at := math.Inf(1)
 	for _, f := range n.flows {
 		if f.rate <= 0 {
@@ -751,10 +814,7 @@ func (n *Net) scheduleNext() {
 			at = t
 		}
 	}
-	if at < now {
-		at = now
-	}
-	n.completion = n.eng.ScheduleOwnedAt(at, n.onCompletionFn)
+	return at
 }
 
 func (n *Net) onCompletion() {
@@ -762,6 +822,7 @@ func (n *Net) onCompletion() {
 	now := n.eng.Now()
 	remaining := n.flows[:0]
 	finished := n.finished[:0]
+	provAt := math.Inf(1)
 	for _, f := range n.flows {
 		// Survivors are judged without mutation: depleting them here would
 		// chop their accumulation at another flow's completion instant.
@@ -773,15 +834,23 @@ func (n *Net) onCompletion() {
 			finished = append(finished, f)
 		} else {
 			remaining = append(remaining, f)
+			if f.rate > 0 {
+				if t := f.last + f.remaining/f.rate; t < provAt {
+					provAt = t
+				}
+			}
 		}
 	}
 	n.flows = remaining
+	n.provAt = provAt
 	// Withdraw the finished flows, then check whether the survivors shared
 	// any link with them; if not, the max-min allocation of the survivors
 	// is unchanged and the full water-filling can be skipped.
 	for _, f := range finished {
 		for _, u := range f.uses {
-			n.linkWeight[u.idx] -= u.mult
+			if n.linkWeight[u.idx] -= u.mult; n.linkWeight[u.idx] == 0 {
+				n.deactivate(u.idx)
+			}
 		}
 	}
 	disjoint := true
@@ -813,83 +882,82 @@ func (n *Net) onCompletion() {
 // recomputeRates runs progressive filling (water-filling) with per-link
 // multiplicities: raise all unfixed flow rates uniformly until a link
 // saturates, fix the flows crossing it, repeat. All working state lives in
-// persistent scratch arrays on Net, so the solver allocates nothing.
+// persistent scratch on Net, so the solver allocates nothing.
+//
+// Each round visits only the links some unfixed flow still crosses —
+// starting from the active set and dropping a link once its working weight
+// reaches zero — and computes each link's share once. Skipped links would
+// contribute nothing to the minimum and are never consulted by a flow, and
+// the minimum does not depend on visiting order, so share and saturation
+// are exactly those of a scan over every link. The unfixed flows are kept
+// in a compacted list in their original order, so each link's fixedLoad
+// accumulates in the same order as ever: every rate is bit-identical.
 func (n *Net) recomputeRates() {
 	n.rateSolves++
-	// A partition's flows only cross links in [linkLo, linkHi) (zero weight
-	// everywhere else), so the link loops scan just that slice; the whole
-	// machine for an unpartitioned Net. Restricting the scan changes no
-	// arithmetic — skipped links contribute nothing either way.
-	lo, nl := n.linkLo, n.linkHi
 	now := n.eng.Now()
-	fixedLoad, weight, saturated := n.wfFixed, n.wfWeight, n.wfSat
-	for i := lo; i < nl; i++ {
-		fixedLoad[i] = 0
-	}
+	fixedLoad, weight, shares := n.wfFixed, n.wfWeight, n.wfShare
 	// The working weights start from the incrementally maintained totals;
 	// multiplicities are small integers, so the running sum is exact and
 	// bit-identical to re-accumulating over the flows.
-	copy(weight[lo:nl], n.linkWeight[lo:nl])
-	unfixed := len(n.flows)
-	for _, f := range n.flows {
-		f.fixed = false
+	links := append(n.wfLinks[:0], n.active...)
+	for _, i := range links {
+		fixedLoad[i] = 0
+		weight[i] = n.linkWeight[i]
 	}
-	for unfixed > 0 {
-		// Find the bottleneck share.
+	unfixed := append(n.wfFlows[:0], n.flows...)
+	for len(unfixed) > 0 {
+		// Find the bottleneck share, dropping links no unfixed flow crosses.
 		share := math.Inf(1)
-		for i := lo; i < nl; i++ {
+		k := 0
+		for _, i := range links {
 			if weight[i] <= 0 {
 				continue
 			}
+			links[k] = i
+			k++
 			s := (n.linkBW(i) - fixedLoad[i]) / weight[i]
+			shares[i] = s
 			if s < share {
 				share = s
 			}
 		}
+		links = links[:k]
 		if math.IsInf(share, 1) {
 			panic("memsim: unfixed flows cross no links")
 		}
 		if share < 0 {
 			share = 0
 		}
-		// Identify the links saturated at this share, then fix every
-		// unfixed flow crossing one of them.
-		for i := lo; i < nl; i++ {
-			if weight[i] <= 0 {
-				saturated[i] = false
-				continue
-			}
-			s := (n.linkBW(i) - fixedLoad[i]) / weight[i]
-			saturated[i] = s <= share*(1+1e-12)
-		}
-		progress := false
-		for _, f := range n.flows {
-			if f.fixed {
-				continue
-			}
+		// Fix every unfixed flow crossing a link saturated at this share;
+		// the rest move down the list in order.
+		limit := share * (1 + 1e-12)
+		k = 0
+		for _, f := range unfixed {
 			bottled := false
 			for _, u := range f.uses {
-				if saturated[u.idx] {
+				if shares[u.idx] <= limit {
 					bottled = true
 					break
 				}
 			}
-			if bottled {
-				if share != f.rate {
-					f.depleteTo(now)
-					f.rate = share
-				}
-				f.fixed = true
-				unfixed--
-				progress = true
-				for _, u := range f.uses {
-					fixedLoad[u.idx] += share * u.mult
-					weight[u.idx] -= u.mult
-				}
+			if !bottled {
+				unfixed[k] = f
+				k++
+				continue
+			}
+			if share != f.rate {
+				f.depleteTo(now)
+				f.rate = share
+			}
+			for _, u := range f.uses {
+				fixedLoad[u.idx] += share * u.mult
+				weight[u.idx] -= u.mult
 			}
 		}
-		if !progress {
+		if k == len(unfixed) {
 			panic("memsim: water-filling made no progress")
 		}
+		unfixed = unfixed[:k]
 	}
+	n.wfFlows = unfixed
 }

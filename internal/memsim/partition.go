@@ -40,8 +40,8 @@ type FlowSpan struct {
 }
 
 // NewPartition creates a Net that simulates a slice of the parent's
-// machine on its own engine. [linkLo, linkHi) bounds the solver's link
-// loops; a partition narrower than the whole machine is guarded — any flow
+// machine on its own engine. [linkLo, linkHi) is the partition's link
+// slice; a partition narrower than the whole machine is guarded — any flow
 // crossing a link outside the slice panics, and every flow's interval is
 // recorded for AuditPartitions. bufBase offsets buffer IDs so partitions
 // allocate from disjoint ID spaces (IDs are only cache-map keys; their
@@ -78,12 +78,7 @@ func (n *Net) NewPartition(eng *sim.Engine, stats *trace.Stats, linkLo, linkHi i
 	}
 	p.bufSlab = sim.SlabFor[Buffer](eng.Arena())
 	stats.SetLinkNames(p.linkNames)
-	p.linkWeight = make([]float64, nl)
-	p.wfFixed = make([]float64, nl)
-	p.wfWeight = make([]float64, nl)
-	p.wfSat = make([]bool, nl)
-	p.useMark = make([]int64, nl)
-	p.useMult = make([]float64, nl)
+	p.allocLinkTables(nl)
 	p.onCompletionFn = p.onCompletion
 	p.repriceFn = p.flushReprice
 	p.recordSpans = p.linkGuard

@@ -269,3 +269,144 @@ func TestCompletionWithUnpricedSurvivor(t *testing.T) {
 		t.Fatalf("%d flows leaked", n2.Busy())
 	}
 }
+
+// rescanProvAt is the full scan the running completion minimum replaces:
+// the earliest completion instant over the priced flows.
+func rescanProvAt(n *Net) float64 {
+	at := math.Inf(1)
+	for _, f := range n.flows {
+		if f.rate > 0 {
+			at = math.Min(at, f.last+f.remaining/f.rate)
+		}
+	}
+	return at
+}
+
+// checkSolverState asserts the incremental solver state against brute
+// force: the active set lists exactly the links with nonzero weight, and
+// provAt equals a full rescan bit for bit.
+func checkSolverState(t *testing.T, n *Net) {
+	t.Helper()
+	for i, w := range n.linkWeight {
+		p := n.activePos[i]
+		if (w != 0) != (p != 0) || (p != 0 && n.active[p-1] != i) {
+			t.Fatalf("link %s: weight %g but active position %d", n.mach.Links[i].Name, w, p)
+		}
+	}
+	if got, want := n.provAt, rescanProvAt(n); math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("provAt %.17g, full rescan %.17g", got, want)
+	}
+}
+
+// TestSolverBitIdenticalRandomized drives random add/complete sequences —
+// starts quantized to a coarse grid so bursts of adds and completions
+// share instants, same-domain copies crossing a bus twice, DMA copies,
+// degraded links, and idle stretches where newcomers take the disjoint
+// fast path — and holds the production solver to the brute-force
+// reference bit for bit: every rate standing at a probe instant, and the
+// completion event's instant against a full rescan. The provAt hook
+// checks the running minimum and the active set after every flow change.
+func TestSolverBitIdenticalRandomized(t *testing.T) {
+	hookCalls := 0
+	testHookProvAt = func(n *Net) {
+		hookCalls++
+		checkSolverState(t, n)
+	}
+	defer func() { testHookProvAt = nil }()
+
+	dmaBox := topology.Synthetic(topology.SyntheticSpec{
+		Boards: 2, SocketsPerBoard: 2, CoresPerSocket: 4,
+		BusBW: 16e9, LinkBW: 11e9, BoardLinkBW: 6e9,
+		CacheSize: 8 * MB, CachePortBW: 30e9,
+		Spec: topology.Spec{CoreCopyBW: 4.5e9, KernelTrap: 1e-7, CtrlLatency: 3e-7, Flops: 1e9, DMABw: 6e9},
+	})
+	machines := []*topology.Machine{topology.Dancer(), topology.Saturn(), topology.IG(), dmaBox}
+	rng := rand.New(rand.NewSource(15))
+	var disjointAdds, multiUse, probes int
+	for trial := 0; trial < 24; trial++ {
+		m := machines[trial%len(machines)]
+		e, n := setup(m)
+		if trial%3 == 2 {
+			n.SetLinkScaler(randomScaler{rng: rand.New(rand.NewSource(int64(trial)))})
+		}
+		probe := func() {
+			e.Defer(func() {
+				probes++
+				want := referenceRates(n)
+				for _, f := range n.flows {
+					if math.Float64bits(f.rate) != math.Float64bits(want[f]) {
+						t.Fatalf("trial %d: flow %d rate %.17g, reference %.17g", trial, f.seq, f.rate, want[f])
+					}
+				}
+				if n.completion == nil {
+					if len(n.flows) != 0 {
+						t.Fatalf("trial %d: %d flows but no completion event", trial, len(n.flows))
+					}
+					return
+				}
+				if got, want := n.completion.Time(), math.Max(rescanProvAt(n), e.Now()); got != want {
+					t.Fatalf("trial %d: completion at %.17g, rescan %.17g", trial, got, want)
+				}
+				checkSolverState(t, n)
+			})
+		}
+		// Start instants on a 16-slot grid: several adds per instant, and
+		// completions landing on the instants of later adds.
+		const grid = 16
+		for c := 0; c < 48; c++ {
+			core := m.Cores[rng.Intn(m.NCores())]
+			sd := m.Domains[rng.Intn(len(m.Domains))]
+			dd := sd
+			if rng.Intn(2) == 0 {
+				dd = m.Domains[rng.Intn(len(m.Domains))]
+			}
+			src := n.Alloc(sd, 4*MB, false)
+			dst := n.Alloc(dd, 4*MB, false)
+			size := int64(1 + rng.Intn(1<<20))
+			dma := m.DMA[core.Domain.ID] != nil && rng.Intn(3) == 0
+			at := float64(rng.Intn(grid)) * 50e-6
+			e.Schedule(at, func() {
+				if dma {
+					n.CopyDMA(core, dst.View(0, size), src.View(0, size))
+				} else {
+					n.CopyAsync(core, dst.View(0, size), src.View(0, size))
+				}
+				f := n.flows[len(n.flows)-1]
+				if f.rate > 0 {
+					disjointAdds++
+				}
+				for _, u := range f.uses {
+					if u.mult > 1 {
+						multiUse++
+						break
+					}
+				}
+				probe()
+			})
+		}
+		for k := 0; k < 64; k++ {
+			e.Schedule(rng.Float64()*2e-3, probe)
+		}
+		if err := e.Run(); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if n.Busy() != 0 || len(n.active) != 0 || !math.IsInf(n.provAt, 1) {
+			t.Fatalf("trial %d: %d flows, %d active links, provAt %g left after the run", trial, n.Busy(), len(n.active), n.provAt)
+		}
+	}
+	if disjointAdds == 0 || multiUse == 0 || hookCalls == 0 {
+		t.Fatalf("coverage: %d disjoint adds, %d multi-use flows, %d hook calls; want all > 0", disjointAdds, multiUse, hookCalls)
+	}
+	t.Logf("%d probes, %d hook checks, %d disjoint adds, %d multi-use flows", probes, hookCalls, disjointAdds, multiUse)
+}
+
+// randomScaler degrades a random third of the links to between half and
+// full bandwidth.
+type randomScaler struct{ rng *rand.Rand }
+
+func (s randomScaler) LinkScale(string) float64 {
+	if s.rng.Intn(3) != 0 {
+		return 1
+	}
+	return 0.5 + 0.5*s.rng.Float64()
+}

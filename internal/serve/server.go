@@ -36,7 +36,9 @@ import (
 type Options struct {
 	// Machines resolves a request's machine name. Nil means the built-in
 	// evaluation platforms only (topology.ByName) — requests can never
-	// reach the filesystem.
+	// reach the filesystem. The server resolves each name once and reuses
+	// the machine, so every cell on it shares one memory-system net per
+	// measurement shard.
 	Machines func(name string) *topology.Machine
 	// Decisions backs GET /v1/decisions and steers measured cells exactly
 	// like imb -decisions (tables apply to matching machines).
@@ -68,6 +70,37 @@ type Server struct {
 	histBatch hist // whole POST /v1/cells requests
 	histCell  hist // every served cell (hits and simulations alike)
 	histSim   hist // cells that reached the runner (LRU misses)
+
+	// The bench memo counters are process-wide; /v1/stats reports their
+	// growth since this server started.
+	simHits0, simMisses0, simDeduped0 int64
+}
+
+// memoMachines wraps resolve so each name is built once. Only known names
+// are cached, so requests naming unknown machines cannot grow the table.
+func memoMachines(resolve func(string) *topology.Machine) func(string) *topology.Machine {
+	var mu sync.Mutex
+	byName := map[string]*topology.Machine{}
+	return func(name string) *topology.Machine {
+		mu.Lock()
+		m, ok := byName[name]
+		mu.Unlock()
+		if ok {
+			return m
+		}
+		if m = resolve(name); m == nil {
+			return nil
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		// A concurrent first request may have won; keep its machine so
+		// every cell shares one pointer.
+		if prev, ok := byName[name]; ok {
+			return prev
+		}
+		byName[name] = m
+		return m
+	}
 }
 
 // New builds a Server.
@@ -75,6 +108,7 @@ func New(opts Options) *Server {
 	if opts.Machines == nil {
 		opts.Machines = topology.ByName
 	}
+	opts.Machines = memoMachines(opts.Machines)
 	if opts.LRUSize <= 0 {
 		opts.LRUSize = 4096
 	}
@@ -90,6 +124,8 @@ func New(opts Options) *Server {
 		sem:   make(chan struct{}, opts.Workers),
 		start: time.Now(),
 	}
+	s.simHits0, s.simMisses0 = bench.CacheCounts()
+	s.simDeduped0 = bench.DedupedCount()
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/cells", s.handleCells)
 	s.mux.HandleFunc("POST /v1/sweep", s.handleSweep)
@@ -501,6 +537,8 @@ func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	lruHits, lruMisses := s.store.counts()
 	simHits, simMisses := bench.CacheCounts()
+	simHits -= s.simHits0
+	simMisses -= s.simMisses0
 	cells := s.histCell.total.Load()
 	resp := StatsResponse{
 		UptimeSeconds: time.Since(s.start).Seconds(),
@@ -511,7 +549,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Cache: CacheStats{
 			LRUHits: lruHits, LRUMisses: lruMisses,
 			LRULen: s.store.len(), LRUCap: s.opts.LRUSize,
-			SimHits: simHits, SimMisses: simMisses, SimDeduped: bench.DedupedCount(),
+			SimHits: simHits, SimMisses: simMisses, SimDeduped: bench.DedupedCount() - s.simDeduped0,
 		},
 		Shards:       bench.Shards(),
 		EngineGroups: bench.EngineGroups(),

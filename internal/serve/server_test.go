@@ -363,3 +363,45 @@ func getJSON(t *testing.T, url string, v any) {
 		t.Fatal(err)
 	}
 }
+
+// TestMachinesResolvedOnce pins the machine memo: concurrent first
+// requests for a name end up sharing one *topology.Machine (so the shard
+// pool reuses one net per shard), later requests never rebuild it, and
+// unknown names are not cached.
+func TestMachinesResolvedOnce(t *testing.T) {
+	var mu sync.Mutex
+	calls := map[string]int{}
+	resolve := memoMachines(func(name string) *topology.Machine {
+		mu.Lock()
+		calls[name]++
+		mu.Unlock()
+		return topology.ByName(name)
+	})
+	got := make([]*topology.Machine, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = resolve("Zoot")
+		}()
+	}
+	wg.Wait()
+	for i, m := range got {
+		if m == nil || m != got[0] {
+			t.Fatalf("request %d got machine %p, first got %p", i, m, got[0])
+		}
+	}
+	built := calls["Zoot"]
+	if resolve("Zoot") != got[0] || calls["Zoot"] != built {
+		t.Fatalf("a later request rebuilt Zoot (%d builds, was %d)", calls["Zoot"], built)
+	}
+	for range 3 {
+		if resolve("nope") != nil {
+			t.Fatal("unknown machine resolved")
+		}
+	}
+	if calls["nope"] != 3 {
+		t.Fatalf("unknown name resolved %d times for 3 requests; it must not be cached", calls["nope"])
+	}
+}
