@@ -5,7 +5,7 @@ GO ?= go
 # silently measuring a degenerate trajectory) on single-core runners.
 SIMBENCH_FLAGS ?=
 
-.PHONY: all check test test-race vet fuzz-short bench bench-smoke bench-diff cluster-smoke scale-smoke simd-smoke figures table1 results tune-smoke profile clean
+.PHONY: all check test test-race vet fuzz-short bench bench-smoke bench-diff cluster-smoke scale-smoke simd-smoke figures table1 results results-check tune-smoke profile clean
 
 all: test vet
 
@@ -64,6 +64,22 @@ results: figures table1
 	$(GO) run ./cmd/imb -parallel 4 -ablation -iters 2 > results/ablations.txt
 	$(GO) run ./cmd/imb -parallel 4 -scalability -machine IG -op bcast -sizes 1M -iters 2 > results/scalability.txt
 
+# Drift guard: regenerate every results/ artifact with the memo cache off
+# into /tmp/results-check and require each to be byte-identical to the
+# committed file. A cached `make results` can replay entries an older
+# model recorded; this target always re-simulates.
+results-check:
+	rm -rf /tmp/results-check
+	mkdir -p /tmp/results-check
+	$(GO) run ./cmd/imb -no-cache -parallel 4 -fig all -iters 1 > /tmp/results-check/figures.txt
+	$(GO) run ./cmd/asp -no-cache -parallel 4 -sample 512 > /tmp/results-check/table1.txt
+	$(GO) run ./cmd/imb -no-cache -parallel 4 -ablation -iters 2 > /tmp/results-check/ablations.txt
+	$(GO) run ./cmd/imb -no-cache -parallel 4 -scalability -machine IG -op bcast -sizes 1M -iters 2 > /tmp/results-check/scalability.txt
+	cmp /tmp/results-check/figures.txt results/figures.txt
+	cmp /tmp/results-check/table1.txt results/table1.txt
+	cmp /tmp/results-check/ablations.txt results/ablations.txt
+	cmp /tmp/results-check/scalability.txt results/scalability.txt
+
 # Profile the simulator hot paths: the simbench trajectory (flow churn,
 # cache model, coroutine handoff) and a small uncached IMB sweep (the full
 # collective stack) under both the CPU and allocation profilers, then print
@@ -118,23 +134,13 @@ cluster-smoke:
 # cells must keep the tables byte-identical at every parallelism level.
 # Then run the 10,240-rank cluster cell once under the CPU profiler (the
 # arena-backed construction path at its largest scale) and assert the
-# profile landed non-empty. Finally exercise intra-cell parallelism both
-# ways: the rendered cluster4 sweep must be byte-identical with the
-# partitioned executor on and off, and the cluster_10k_intra cell must
-# report bit-identical serial/parallel results (its recorded speedup
-# lands in the smoke log via the JSON).
+# profile landed non-empty.
 scale-smoke:
 	$(GO) run -race ./cmd/imb -machine MC512 -comps KNEM-Coll,Tuned-SM -op bcast -sizes 64K -iters 1 -parallel 1 -no-cache > /tmp/scale-smoke-a.txt
 	$(GO) run -race ./cmd/imb -machine MC512 -comps KNEM-Coll,Tuned-SM -op bcast -sizes 64K -iters 1 -parallel 4 -no-cache > /tmp/scale-smoke-b.txt
 	cmp /tmp/scale-smoke-a.txt /tmp/scale-smoke-b.txt
 	$(GO) run ./cmd/simbench $(SIMBENCH_FLAGS) -only cluster_10k -cpuprofile /tmp/scale-smoke-10k.pprof -o /tmp/scale-smoke-10k.json
 	test -s /tmp/scale-smoke-10k.pprof
-	$(GO) run ./cmd/imb -cluster machines/cluster4.cluster -op bcast -sizes 64K -iters 1 -no-cache -intra-parallel=false > /tmp/scale-smoke-c.txt
-	$(GO) run ./cmd/imb -cluster machines/cluster4.cluster -op bcast -sizes 64K -iters 1 -no-cache -intra-parallel=true > /tmp/scale-smoke-d.txt
-	cmp /tmp/scale-smoke-c.txt /tmp/scale-smoke-d.txt
-	$(GO) run ./cmd/simbench $(SIMBENCH_FLAGS) -only cluster_10k_intra -o /tmp/scale-smoke-intra.json
-	grep -q '"identical": true' /tmp/scale-smoke-intra.json
-	grep -A 10 '"cluster_10k_intra"' /tmp/scale-smoke-intra.json
 
 # Serving smoke: boot the simd daemon on a random port against a fresh
 # cache directory and run its built-in contract check — the same batch

@@ -12,7 +12,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -71,7 +73,6 @@ func main() {
 	sizes := flag.String("sizes", "", "comma-separated sizes for ad-hoc sweeps (e.g. 32K,1M,8M)")
 	iters := flag.Int("iters", 3, "measured iterations per point")
 	parallel := flag.Int("parallel", 1, "concurrent measurement cells; output is byte-identical at any level")
-	intraPar := flag.Bool("intra-parallel", true, "partition eligible cluster cells across engines (Chandy–Misra windows); output is byte-identical either way")
 	asJSON := flag.Bool("json", false, "emit figures as JSON instead of tables")
 	comps := flag.String("comps", "", "comma-separated components for ad-hoc sweeps (default: the paper's five); options: Tuned-SM, Tuned-KNEM, MPICH2-SM, MPICH2-KNEM, KNEM-Coll, Basic-SM, SM-Coll")
 	faultSeed := flag.Int64("fault-seed", 0, "seed for probabilistic fault draws (reproducible schedules)")
@@ -80,7 +81,7 @@ func main() {
 	faultInval := flag.Int("fault-invalidate-every", 0, "invalidate every Nth live region cookie mid-collective")
 	faultCopyTr := flag.Float64("fault-copy-transient", 0, "probability a kernel copy fails transiently (EAGAIN)")
 	faultStrag := flag.String("fault-straggler", "", "comma-separated rank:delay stragglers (e.g. 3:2e-3)")
-	faultLink := flag.String("fault-link", "", "comma-separated link:scale degradations (e.g. bus0:0.5)")
+	faultLink := flag.String("fault-link", "", "comma-separated link:scale degradations (e.g. mem0:0.5); names must be links of the swept machine")
 	decisionsPath := flag.String("decisions", "", "comma-separated tuned decision tables (JSON from `tune search`) applied to matching machines")
 	noCache := flag.Bool("no-cache", false, "disable run memoization: re-simulate every cell")
 	cacheDir := flag.String("cache-dir", "", "persistent simulation cache directory (default: the user cache dir)")
@@ -89,7 +90,6 @@ func main() {
 	flag.Parse()
 	jsonOut = *asJSON
 	bench.SetParallel(*parallel)
-	bench.SetParallelIntra(*intraPar)
 	cached, err := bench.EnableDefaultCache("imb", *noCache, *cacheDir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "imb:", err)
@@ -181,6 +181,25 @@ func buildPlan(seed int64, createEvery int, pinBudget int64, invalEvery int, cop
 	return p
 }
 
+// checkLinks rejects -fault-link names that are not links of m, so a
+// misspelt name fails the run instead of leaving it undegraded. Names are
+// checked in sorted order, so the error is deterministic.
+func checkLinks(plan *fault.Plan, m *topology.Machine) error {
+	if plan == nil || len(plan.LinkSlowdown) == 0 {
+		return nil
+	}
+	known := make(map[string]bool, len(m.Links))
+	for _, l := range m.Links {
+		known[l.Name] = true
+	}
+	for _, name := range slices.Sorted(maps.Keys(plan.LinkSlowdown)) {
+		if !known[name] {
+			return fmt.Errorf("unknown -fault-link link %q on machine %s", name, m.Name)
+		}
+	}
+	return nil
+}
+
 func splitNonEmpty(s string) []string {
 	if s == "" {
 		return nil
@@ -253,6 +272,10 @@ func runSweep(op, machine, cluster string, np int, sizeList string, iters int, c
 			fmt.Fprintln(os.Stderr, "imb:", err)
 			os.Exit(2)
 		}
+	}
+	if err := checkLinks(plan, m); err != nil {
+		fmt.Fprintln(os.Stderr, "imb:", err)
+		os.Exit(2)
 	}
 	if np == 0 {
 		np = m.NCores()

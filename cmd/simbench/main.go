@@ -28,7 +28,6 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"reflect"
 	"runtime"
 	"runtime/pprof"
 	"strings"
@@ -48,12 +47,11 @@ import (
 
 const MB = 1 << 20
 
-// Report is the BENCH_sim.json schema ("bench_sim/v8"; v7 lacked the
-// intra-cell parallelism section (cluster_10k_intra: serial vs parallel
-// wall clock, identity flag, conservative-window counts), predated the
-// sim/g3-partition fingerprint (cluster cells now keep warm-up counters;
-// the lazy per-flow depletion made partitioned runs bit-identical), and
-// did not gate the cluster cells' allocs_per_op, v6 lacked the
+// Report is the BENCH_sim.json schema ("bench_sim/v8"; older v8 reports
+// also carry a serial-vs-parallel section for the since-removed
+// partitioned executor, which readers ignore; v7 predated the
+// sim/g3-partition fingerprint (cluster cells now keep warm-up counters)
+// and did not gate the cluster cells' allocs_per_op, v6 lacked the
 // 10,240-rank cluster cell, the cluster cells' allocs_per_op, and ran the
 // many-core Broadcast cells on fresh engines instead of reused
 // arena-backed shards, v5 lacked the serving-tier cell
@@ -80,15 +78,8 @@ type Report struct {
 	// Cluster10k is the ROADMAP's 10k-rank point itself: eighty 128-core
 	// nodes, 10,240 ranks, one hierarchical broadcast — runnable inside
 	// the CI smoke budget now that per-rank state is arena-backed.
-	Cluster10k ClusterLine `json:"cluster_10k"`
-	// Cluster10kIntra re-runs the 10k-rank cell serially and under
-	// intra-cell parallelism (one engine per node plus a fabric engine,
-	// conservative time windows) and records both wall clocks plus the
-	// byte-identity verdict. -check always gates identity; the speedup is
-	// gated at >= 2 only when GOMAXPROCS >= 8 (single-core runners record
-	// it without judging it).
-	Cluster10kIntra IntraLine      `json:"cluster_10k_intra"`
-	TuneSearch      TuneSearchLine `json:"tune_search"`
+	Cluster10k ClusterLine    `json:"cluster_10k"`
+	TuneSearch TuneSearchLine `json:"tune_search"`
 	// Serve is the serving-tier cell: a 64-cell batch posted to an
 	// in-process simd server by concurrent clients, cold (populating the
 	// layered caches) then warm. The warm round must be fully cache-served
@@ -146,26 +137,6 @@ type ClusterLine struct {
 	// on the warmed measurement shard (ReadMemStats delta over a second
 	// Measure call) — the arena's figure of merit at cluster scale.
 	AllocsPerOp int64 `json:"allocs_per_op"`
-}
-
-// IntraLine is the intra-cell parallelism cell: the same cluster cell
-// measured once on a single engine and once across the partitioned engine
-// group, with the simulated results compared bit for bit.
-type IntraLine struct {
-	Nodes int    `json:"nodes"`
-	NP    int    `json:"np"`
-	Op    string `json:"op"`
-	Size  int64  `json:"size"`
-	// SerialWall/ParallelWall are the wall clocks of the two runs (warmed
-	// shard; the cold construction cost is cluster_10k's to report).
-	SerialWall   float64 `json:"seconds_wall_serial"`
-	ParallelWall float64 `json:"seconds_wall_parallel"`
-	Speedup      float64 `json:"speedup"`
-	// Identical reports whether the parallel run reproduced the serial
-	// run's simulated seconds and every counter exactly.
-	Identical bool  `json:"identical"`
-	Engines   int   `json:"engines"`
-	Windows   int64 `json:"windows_executed"`
 }
 
 // TuneSearchLine times one autotuner search twice against an empty
@@ -242,7 +213,7 @@ func main() {
 	minCPUs := flag.Int("min-cpus", 0, "fail unless the host has at least this many CPUs (CI guard: the parallel sweep must not be skipped silently)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write an allocation profile (all allocations, not just live) to this file at exit")
-	only := flag.String("only", "", "comma-separated scenario filter (benchmark names, sweep, cluster, cluster_1024, cluster_10k, cluster_10k_intra, tune_search, serve); empty runs everything")
+	only := flag.String("only", "", "comma-separated scenario filter (benchmark names, sweep, cluster, cluster_1024, cluster_10k, tune_search, serve); empty runs everything")
 	diff := flag.Bool("diff", false, "print per-metric deltas between two BENCH_sim.json files (old new) and exit")
 	flag.Parse()
 
@@ -362,9 +333,6 @@ func main() {
 	}
 	if want("cluster_10k") {
 		rep.Cluster10k = measureCluster10k()
-	}
-	if want("cluster_10k_intra") {
-		rep.Cluster10kIntra = measureCluster10kIntra()
 	}
 	if want("tune_search") {
 		rep.TuneSearch = measureTuneSearch(*short)
@@ -537,35 +505,6 @@ func checkAgainst(cur, base *Report, tol float64) bool {
 	allocGate("cluster", cur.Cluster, base.Cluster)
 	allocGate("cluster_1024", cur.Cluster1024, base.Cluster1024)
 	allocGate("cluster_10k", cur.Cluster10k, base.Cluster10k)
-	// Intra-cell parallelism gates: byte-identity is unconditional — a
-	// parallel run that differs from the serial run in any bit is a
-	// correctness failure, not a perf number. The >= 2x speedup is only
-	// judged with real cores behind it (GOMAXPROCS >= 8, the cell's
-	// design point); below that the ratio is recorded, not gated.
-	if cur.Cluster10kIntra.NP > 0 {
-		status := "ok"
-		if !cur.Cluster10kIntra.Identical {
-			status = "REGRESSION"
-			ok = false
-		}
-		fmt.Fprintf(os.Stderr, "simbench: check: cluster_10k_intra identical: %t (must be true): %s\n",
-			cur.Cluster10kIntra.Identical, status)
-		if cur.GOMAXPROCS >= 8 {
-			status = "ok"
-			if cur.Cluster10kIntra.Speedup < 2 {
-				status = "REGRESSION"
-				ok = false
-			}
-			fmt.Fprintf(os.Stderr, "simbench: check: cluster_10k_intra speedup: %.2fx (>= 2x at GOMAXPROCS %d): %s\n",
-				cur.Cluster10kIntra.Speedup, cur.GOMAXPROCS, status)
-		} else {
-			fmt.Fprintf(os.Stderr, "simbench: check: cluster_10k_intra speedup: %.2fx (recorded; not gated at GOMAXPROCS %d < 8)\n",
-				cur.Cluster10kIntra.Speedup, cur.GOMAXPROCS)
-		}
-	} else {
-		fmt.Fprintln(os.Stderr, "simbench: check: cluster_10k_intra: scenario missing from this run")
-		ok = false
-	}
 	return ok
 }
 
@@ -632,15 +571,6 @@ func printDiff(oldPath, newPath string) error {
 	cluster("cluster", o.Cluster, n.Cluster)
 	cluster("cluster_1024", o.Cluster1024, n.Cluster1024)
 	cluster("cluster_10k", o.Cluster10k, n.Cluster10k)
-	if n.Cluster10kIntra.NP > 0 {
-		oldSpeedup := "n/a"
-		if o.Cluster10kIntra.NP > 0 {
-			oldSpeedup = fmt.Sprintf("%.2fx", o.Cluster10kIntra.Speedup)
-		}
-		fmt.Printf("%-28s speedup %s -> %.2fx  identical=%t  engines=%d windows=%d\n",
-			"cluster_10k_intra", oldSpeedup, n.Cluster10kIntra.Speedup,
-			n.Cluster10kIntra.Identical, n.Cluster10kIntra.Engines, n.Cluster10kIntra.Windows)
-	}
 	if n.TuneSearch.Cells > 0 {
 		if o.TuneSearch.Cells > 0 {
 			fmt.Printf("%-28s %12.4gx -> %12.4gx\n", "tune_search speedup", o.TuneSearch.Speedup, n.TuneSearch.Speedup)
@@ -898,15 +828,8 @@ func measureCluster(short bool) ClusterLine {
 // harness: a cold run for the wall clock (shard construction included, as
 // a fresh process would pay it) and a repeat run on the now-warmed shard
 // whose ReadMemStats delta is the cell's allocs_per_op — the arena's
-// figure of merit at cluster scale. The cells are pinned to the serial
-// executor: allocs_per_op measures the single-shard arena path, and
-// letting eligible shapes drift into the partitioned executor would fold
-// 80-odd engine constructions into the number and break comparisons
-// across report versions. The partitioned path has its own cell
-// (cluster_10k_intra) with its own figures of merit.
+// figure of merit at cluster scale.
 func runClusterCell(cl *topology.Cluster, op bench.Op, size int64, nodes int) ClusterLine {
-	bench.SetParallelIntra(false)
-	defer bench.SetParallelIntra(true)
 	cfg := bench.Config{
 		Machine: cl.Global, Comp: bench.Hier(cl), Op: op, Size: size, Iters: 1, OffCache: true,
 	}
@@ -971,8 +894,8 @@ func measureCluster10k() ClusterLine {
 	return runClusterCell(cl, bench.OpBcast, 64*bench.KiB, nodes)
 }
 
-// cluster10k compiles the canonical 10,240-rank cluster shape shared by
-// the cluster_10k and cluster_10k_intra cells.
+// cluster10k compiles the canonical 10,240-rank cluster shape of the
+// cluster_10k cell.
 func cluster10k() (*topology.Cluster, int) {
 	nodes := 80
 	box := topology.Synthetic(topology.SyntheticSpec{
@@ -994,44 +917,6 @@ func cluster10k() (*topology.Cluster, int) {
 		os.Exit(1)
 	}
 	return cl, nodes
-}
-
-// measureCluster10kIntra is the intra-cell parallelism cell: the 10k-rank
-// broadcast forced through the single-engine path and the partitioned
-// engine group in one process (both bypass the memo cache), wall clocks
-// and the bit-identity verdict recorded. The serial leg runs first so
-// both legs pay comparable shard warm-up.
-func measureCluster10kIntra() IntraLine {
-	cl, nodes := cluster10k()
-	op, size := bench.OpBcast, int64(64*bench.KiB)
-	cfg := bench.Config{
-		Machine: cl.Global, Comp: bench.Hier(cl), Op: op, Size: size, Iters: 1, OffCache: true,
-	}
-	ctx := context.Background()
-	start := time.Now()
-	serial, err := bench.MeasureForced(ctx, cfg, false)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "simbench:", err)
-		os.Exit(1)
-	}
-	serialWall := time.Since(start).Seconds()
-	groupsBefore := bench.EngineGroups()
-	start = time.Now()
-	parallel, err := bench.MeasureForced(ctx, cfg, true)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "simbench:", err)
-		os.Exit(1)
-	}
-	parallelWall := time.Since(start).Seconds()
-	groups := bench.EngineGroups()
-	return IntraLine{
-		Nodes: nodes, NP: cl.Global.NCores(), Op: string(op), Size: size,
-		SerialWall: serialWall, ParallelWall: parallelWall,
-		Speedup:   serialWall / parallelWall,
-		Identical: parallel.Seconds == serial.Seconds && reflect.DeepEqual(parallel.Stats, serial.Stats),
-		Engines:   groups.EnginesHighWater,
-		Windows:   groups.Windows - groupsBefore.Windows,
-	}
 }
 
 // serveBatch is the serving-tier reference batch: 64 cells (two

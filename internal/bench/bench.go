@@ -7,6 +7,7 @@ package bench
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"repro/internal/coll/basic"
@@ -60,8 +61,7 @@ type Comp struct {
 	Key string
 	// Cluster is set by Hier/HierCfg: the compiled cluster the component
 	// runs over. The harness uses it to scope cache coherence to nodes
-	// (memsim coherence islands) and to partition the cell for intra-cell
-	// parallel execution. Nil for single-machine components.
+	// (memsim coherence islands). Nil for single-machine components.
 	Cluster *topology.Cluster
 }
 
@@ -255,19 +255,10 @@ func Measure(cfg Config) (Result, error) {
 // MeasureCtx calls for the same cache key are deduplicated: one simulates,
 // the others wait and replay its memoized entry (see flight.go).
 func MeasureCtx(ctx context.Context, cfg Config) (Result, error) {
-	if cfg.NP == 0 {
-		cfg.NP = cfg.Machine.NCores()
-	}
-	if cfg.Iters == 0 {
-		cfg.Iters = 3
-	}
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	dec := cfg.Decider
-	if dec == nil {
-		dec = decisions.Load().For(cfg.Machine)
-	}
+	cfg, dec := withDefaults(cfg)
 	var key string
 	var fl *flight
 	if memo.enabled.Load() {
@@ -314,34 +305,45 @@ func MeasureCtx(ctx context.Context, cfg Config) (Result, error) {
 	return res, err
 }
 
-// simulate runs cfg's cell for real on a pooled engine shard, choosing
-// intra-cell parallel execution when the cell is inside the proven
-// envelope (parallelEligible) and the package toggle allows it. The two
-// modes produce byte-identical results — same Seconds, same Stats — so
-// the choice is invisible to the memo cache. cfg must already have NP and
-// Iters defaulted and dec resolved.
-func simulate(ctx context.Context, cfg Config, dec *tune.Decider) (Result, error) {
-	if ParallelIntra() && parallelEligible(cfg, dec) {
-		res, ok, err := simulateParallel(ctx, cfg, dec)
-		if err != nil || ok {
-			return res, err
-		}
-		// The post-run audit rejected the partitioning: the parallel
-		// result was discarded, re-run serially (the result stays exact).
+// MeasureForced measures cfg without consulting the memo cache. parallel
+// must be false: the cell always runs on one engine, and asking for
+// intra-cell parallel execution is an error.
+func MeasureForced(ctx context.Context, cfg Config, parallel bool) (Result, error) {
+	if parallel {
+		return Result{}, errors.New("bench: intra-cell parallel execution is not supported")
 	}
-	return simulateSerial(ctx, cfg, dec)
+	if err := ctx.Err(); err != nil {
+		return Result{}, err
+	}
+	cfg, dec := withDefaults(cfg)
+	return simulate(ctx, cfg, dec)
 }
 
-// simulateSerial runs cfg's cell on a single leased engine.
-func simulateSerial(ctx context.Context, cfg Config, dec *tune.Decider) (Result, error) {
+// withDefaults applies the NP/Iters defaults to cfg and resolves its
+// effective decision table.
+func withDefaults(cfg Config) (Config, *tune.Decider) {
+	if cfg.NP == 0 {
+		cfg.NP = cfg.Machine.NCores()
+	}
+	if cfg.Iters == 0 {
+		cfg.Iters = 3
+	}
+	dec := cfg.Decider
+	if dec == nil {
+		dec = decisions.Load().For(cfg.Machine)
+	}
+	return cfg, dec
+}
+
+// simulate runs cfg's cell for real on a leased engine shard. cfg must
+// already have its defaults applied and dec resolved (withDefaults).
+func simulate(ctx context.Context, cfg Config, dec *tune.Decider) (Result, error) {
 	stats := &trace.Stats{}
 	sh := acquireShard()
 	defer releaseShard(sh)
 	eng, net := sh.lease(cfg.Machine, stats)
 	// Cluster cells scope hardware coherence to nodes: no real fabric
-	// snoops across machines, and the same islands make the intra-cell
-	// partitioning of parallel runs sound (serial and parallel runs both
-	// use them, so the mode cannot change a timestamp).
+	// snoops across machines.
 	net.SetClusterIslands(cfg.Comp.Cluster)
 	// Carved after the lease so a warmed shard serves it from its arena.
 	perRank := sim.SlicesFor[float64](eng.Arena()).Make(cfg.NP)
@@ -377,8 +379,7 @@ func simulateSerial(ctx context.Context, cfg Config, dec *tune.Decider) (Result,
 // benchBody builds the per-rank SPMD body of one measurement cell: the
 // IMB protocol of barrier / optional off-cache flush / timed operation,
 // one warm-up iteration, max-over-ranks timing into perRank. stats is the
-// serial run's shared sink; cluster cells never touch it (see below), so
-// parallel runs pass nil.
+// run's shared counter sink.
 func benchBody(cfg Config, stats *trace.Stats, perRank []float64) func(r *mpi.Rank) {
 	return func(r *mpi.Rank) {
 		bufs := prepare(r, cfg)
@@ -394,12 +395,10 @@ func benchBody(cfg Config, stats *trace.Stats, perRank []float64) func(r *mpi.Ra
 			// Measured counters exclude the warm-up on single machines:
 			// each rank re-zeroes the shared sink as it starts iteration 0
 			// and the last reset wins. Cluster cells keep the warm-up's
-			// counters instead: those resets fall at rank-staggered
-			// instants, so which increments survive the last one depends
-			// on a global interleaving that per-partition sinks cannot
-			// reproduce — with purely additive counters and no mid-run
-			// wipe, a parallel run's merged sinks equal the serial totals
-			// exactly. Timestamps are unaffected either way.
+			// counters: memoized cluster entries and perfbench's pinned
+			// reference digests were recorded under this rule, so
+			// resetting them too needs a deliberate memo fingerprint bump.
+			// Timestamps are unaffected either way.
 			if it == 0 && cfg.Comp.Cluster == nil {
 				stats.Reset()
 			}
@@ -423,17 +422,7 @@ func CellKey(cfg Config) (string, bool) {
 	if cfg.Machine == nil {
 		return "", false
 	}
-	if cfg.NP == 0 {
-		cfg.NP = cfg.Machine.NCores()
-	}
-	if cfg.Iters == 0 {
-		cfg.Iters = 3
-	}
-	dec := cfg.Decider
-	if dec == nil {
-		dec = decisions.Load().For(cfg.Machine)
-	}
-	return memoKey(cfg, dec)
+	return memoKey(withDefaults(cfg))
 }
 
 // MustMeasure is Measure, panicking on simulation failure (used by the

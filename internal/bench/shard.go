@@ -25,152 +25,11 @@ import (
 type shard struct {
 	eng  *sim.Engine
 	nets map[*topology.Machine]*memsim.Net
-	// groups holds the shard's warmed engine groups for intra-cell parallel
-	// execution, one per cluster it has run in parallel (see engineGroup).
-	groups map[*topology.Cluster]*engineGroup
 }
 
 var shardPool = sync.Pool{New: func() any {
 	return &shard{eng: sim.NewEngine(), nets: map[*topology.Machine]*memsim.Net{}}
 }}
-
-// engineGroup is a shard's multi-engine complement for one cluster: the
-// per-node engines, the memsim partition views carved from the shard's
-// composite net, per-partition stats sinks, and the rank→partition map.
-// Like the shard itself it is built once and re-leased: engines keep their
-// event slabs and arenas, partition nets keep their solver scratch and
-// buffer slabs, so a repeat parallel cell allocates next to nothing new.
-//
-// Partition layout: index 0 is the fabric domain — the shard's own engine
-// runs every node-leader rank plus all fabric traffic over the full link
-// range — and index d+1 runs node d's member ranks, hard-guarded to the
-// node's contiguous link slice. Rank→partition: each node's first core is
-// its leader (hier elects ms[0] without a fault plan, and the envelope
-// excludes fault plans), so that rank goes to the fabric partition and the
-// rest of the node's cores to the node partition.
-type engineGroup struct {
-	engines []*sim.Engine  // [0] == the shard's own engine
-	nets    []*memsim.Net  // partition views, index-aligned with engines
-	statsP  []*trace.Stats // per-partition sinks, zeroed per lease
-	of      []int32        // rank -> partition, for NP == NCores(Global)
-}
-
-// leaseGroup readies the shard's engine group for one parallel cell on
-// cluster cl, building it on first use. Every engine is reset, every
-// partition net is reset onto its zeroed per-partition sink and re-scoped
-// to the cluster's coherence islands (Net.Reset clears islands).
-func (s *shard) leaseGroup(cl *topology.Cluster) *engineGroup {
-	parent := s.nets[cl.Global]
-	if parent == nil {
-		parent = memsim.New(s.eng, cl.Global, nil)
-		s.nets[cl.Global] = parent
-	}
-	if s.groups == nil {
-		s.groups = map[*topology.Cluster]*engineGroup{}
-	}
-	g := s.groups[cl]
-	if g == nil {
-		g = buildGroup(s.eng, parent, cl)
-		s.groups[cl] = g
-	}
-	for i, eng := range g.engines {
-		eng.Reset()
-		g.statsP[i].Reset()
-		g.nets[i].Reset(g.statsP[i])
-		g.nets[i].SetClusterIslands(cl)
-	}
-	return g
-}
-
-// buildGroup compiles cl's partitioning once for a shard: fresh engines
-// for the nodes, partition nets carved from parent, audit ranges on the
-// fabric partition, and the rank→partition map.
-func buildGroup(eng0 *sim.Engine, parent *memsim.Net, cl *topology.Cluster) *engineGroup {
-	nn := cl.NNodes()
-	g := &engineGroup{
-		engines: make([]*sim.Engine, nn+1),
-		nets:    make([]*memsim.Net, nn+1),
-		statsP:  make([]*trace.Stats, nn+1),
-	}
-	for i := range g.statsP {
-		g.statsP[i] = &trace.Stats{}
-	}
-	g.engines[0] = eng0
-	for i := 1; i <= nn; i++ {
-		g.engines[i] = sim.NewEngine()
-	}
-	// NewPartition snapshots the parent's island tables.
-	parent.SetClusterIslands(cl)
-	nl := len(cl.Global.Links)
-	g.nets[0] = parent.NewPartition(eng0, g.statsP[0], 0, nl, 0)
-	ranges := make([][2]int32, nn)
-	for d, node := range cl.Nodes {
-		g.nets[d+1] = parent.NewPartition(g.engines[d+1], g.statsP[d+1],
-			node.FirstLink, node.FirstLink+node.NLinks, int64(d+1)<<32)
-		ranges[d] = [2]int32{int32(node.FirstLink), int32(node.FirstLink + node.NLinks)}
-	}
-	g.nets[0].SetAuditRanges(ranges)
-	np := cl.Global.NCores()
-	g.of = make([]int32, np)
-	for r := 0; r < np; r++ {
-		d := cl.NodeOfCore(r)
-		if r == cl.Nodes[d].FirstCore {
-			g.of[r] = 0 // node leader: runs on the fabric engine
-		} else {
-			g.of[r] = int32(d + 1)
-		}
-	}
-	return g
-}
-
-// EngineGroupStats is the pool-wide high-water footprint and activity of
-// the intra-cell parallel engine groups, surfaced in GET /v1/stats next to
-// the shard stats.
-type EngineGroupStats struct {
-	// Leases counts parallel cells served by pooled engine groups.
-	Leases int64 `json:"leases"`
-	// EnginesHighWater is the largest engine count any group has held
-	// (nodes + 1 fabric).
-	EnginesHighWater int `json:"engines_high_water"`
-	// Windows is the total number of conservative time windows executed.
-	Windows int64 `json:"windows_executed"`
-	// ExportQueueHighWater is the largest number of cross-partition
-	// control messages staged in any single window.
-	ExportQueueHighWater int `json:"export_queue_high_water"`
-	// AuditFallbacks counts parallel runs discarded because the post-run
-	// partition audit found a lookahead violation (the cell was re-run
-	// serially; the result is still exact).
-	AuditFallbacks int64 `json:"audit_fallbacks"`
-}
-
-var (
-	groupStatsMu sync.Mutex
-	groupStats   EngineGroupStats
-)
-
-// EngineGroups returns the aggregated engine-group statistics.
-func EngineGroups() EngineGroupStats {
-	groupStatsMu.Lock()
-	defer groupStatsMu.Unlock()
-	return groupStats
-}
-
-// noteGroupRun folds one parallel run into the pool-wide group stats.
-func noteGroupRun(engines int, windows int64, maxStaged int, auditFailed bool) {
-	groupStatsMu.Lock()
-	groupStats.Leases++
-	if engines > groupStats.EnginesHighWater {
-		groupStats.EnginesHighWater = engines
-	}
-	groupStats.Windows += windows
-	if maxStaged > groupStats.ExportQueueHighWater {
-		groupStats.ExportQueueHighWater = maxStaged
-	}
-	if auditFailed {
-		groupStats.AuditFallbacks++
-	}
-	groupStatsMu.Unlock()
-}
 
 // ShardStats is the high-water resident footprint of the measurement
 // shards, aggregated at release time: how many cells pooled shards have

@@ -32,7 +32,6 @@ package knem
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"repro/internal/fault"
 	"repro/internal/memsim"
@@ -86,34 +85,22 @@ type Region struct {
 // Len returns the total byte length of the region.
 func (r *Region) Len() int64 { return r.total }
 
-// table is the region state of one driver instance: the cookie map, the
-// cookie counter, and the free list of destroyed Regions. It is a separate
-// object so partitioned worlds can link several Modules — one per engine —
-// over one table: regions registered through any linked module resolve
-// through all of them, like processes of one node sharing one /dev/knem.
-// Mutation (Create/Destroy) must stay on a single engine at a time; linked
-// readers on other engines are ordered by the conservative window barrier
-// that also orders the data they copy. Those engines still run on parallel
-// goroutines, so mu guards the table.
-type table struct {
-	mu         sync.RWMutex
-	regions    map[Cookie]*Region
-	next       Cookie
-	regionPool []*Region
-}
-
 // Module is one node's KNEM driver instance.
 type Module struct {
 	net   *memsim.Net
 	stats *trace.Stats
-	tab   *table
 	inj   *fault.Injector
+
+	// Region state: the cookie map, the cookie counter, and the free list
+	// of destroyed Regions.
+	regions    map[Cookie]*Region
+	next       Cookie
+	regionPool []*Region
 
 	// viewPool recycles the per-copy view scratch slices used by
 	// slice/resolve. View slices are per-call (taken on entry, returned on
 	// exit) because Copy parks mid-call and concurrent copies interleave; a
-	// single shared scratch would be clobbered. The pool is per-module (not
-	// per-table) so linked modules on different engines never contend.
+	// single shared scratch would be clobbered.
 	viewPool [][]memsim.View
 }
 
@@ -132,44 +119,28 @@ func New(net *memsim.Net) *Module {
 	m := sim.SlabFor[Module](net.Engine().Arena()).Get()
 	m.net, m.stats = net, net.Stats()
 	m.inj = nil
-	if m.tab == nil {
-		m.tab = &table{}
-	}
-	m.tab.next = 0
-	if m.tab.regions == nil {
-		m.tab.regions = make(map[Cookie]*Region)
-	} else if len(m.tab.regions) > 0 {
+	m.next = 0
+	if m.regions == nil {
+		m.regions = make(map[Cookie]*Region)
+	} else if len(m.regions) > 0 {
 		// Regions left live by the previous run (leaked cookies) feed the
 		// free list; recycle order is map-random but Regions are
 		// indistinguishable once zeroed, so determinism is unaffected.
-		for c, r := range m.tab.regions {
-			delete(m.tab.regions, c)
+		for c, r := range m.regions {
+			delete(m.regions, c)
 			m.freeRegion(r)
 		}
 	}
 	return m
 }
 
-// NewLinked attaches a module to a memory partition, sharing base's region
-// table: cookies created through either module resolve through both. Used
-// by partitioned worlds, where each engine drives copies through its own
-// module (own stats, own scratch) against node-shared regions. The caller
-// must keep region mutation on one engine per window; see table.
-func NewLinked(net *memsim.Net, base *Module) *Module {
-	m := sim.SlabFor[Module](net.Engine().Arena()).Get()
-	m.net, m.stats = net, net.Stats()
-	m.inj = nil
-	m.tab = base.tab
-	return m
-}
-
 // newRegion takes a Region from the pool (segs capacity preserved) or
 // allocates one.
 func (m *Module) newRegion() *Region {
-	if k := len(m.tab.regionPool); k > 0 {
-		r := m.tab.regionPool[k-1]
-		m.tab.regionPool[k-1] = nil
-		m.tab.regionPool = m.tab.regionPool[:k-1]
+	if k := len(m.regionPool); k > 0 {
+		r := m.regionPool[k-1]
+		m.regionPool[k-1] = nil
+		m.regionPool = m.regionPool[:k-1]
 		return r
 	}
 	return &Region{}
@@ -182,7 +153,7 @@ func (m *Module) freeRegion(r *Region) {
 		r.segs[i] = memsim.View{}
 	}
 	*r = Region{segs: segs}
-	m.tab.regionPool = append(m.tab.regionPool, r)
+	m.regionPool = append(m.regionPool, r)
 }
 
 // getViews takes a scratch view slice from the pool; putViews returns it.
@@ -208,9 +179,7 @@ func (m *Module) Net() *memsim.Net { return m.net }
 
 // ActiveRegions returns the number of live regions (leak checks in tests).
 func (m *Module) ActiveRegions() int {
-	m.tab.mu.RLock()
-	defer m.tab.mu.RUnlock()
-	return len(m.tab.regions)
+	return len(m.regions)
 }
 
 func (m *Module) trap(p *sim.Proc) {
@@ -246,13 +215,11 @@ func (m *Module) Create(p *sim.Proc, owner int, views []memsim.View, dir Directi
 		}
 	}
 	p.Wait(float64(pages) * m.net.Machine().Spec.PinPerPage)
-	m.tab.mu.Lock()
-	m.tab.next++
+	m.next++
 	r := m.newRegion()
-	r.cookie, r.owner, r.dir, r.total, r.pages = m.tab.next, owner, dir, total, pages
+	r.cookie, r.owner, r.dir, r.total, r.pages = m.next, owner, dir, total, pages
 	r.segs = append(r.segs, views...)
-	m.tab.regions[r.cookie] = r
-	m.tab.mu.Unlock()
+	m.regions[r.cookie] = r
 	m.stats.Registrations++
 	return r.cookie, nil
 }
@@ -269,13 +236,11 @@ func (m *Module) CreateView(p *sim.Proc, owner int, v memsim.View, dir Direction
 // Destroy deregisters a region.
 func (m *Module) Destroy(p *sim.Proc, c Cookie) error {
 	m.trap(p)
-	m.tab.mu.Lock()
-	defer m.tab.mu.Unlock()
-	r, ok := m.tab.regions[c]
+	r, ok := m.regions[c]
 	if !ok {
 		return ErrInvalidCookie
 	}
-	delete(m.tab.regions, c)
+	delete(m.regions, c)
 	if m.inj != nil {
 		m.inj.Release(r.pages)
 	}
@@ -286,13 +251,11 @@ func (m *Module) Destroy(p *sim.Proc, c Cookie) error {
 // invalidate tears a region down behind its users' backs (injected cookie
 // invalidation); the next access observes ErrInvalidCookie.
 func (m *Module) invalidate(c Cookie) {
-	m.tab.mu.Lock()
-	defer m.tab.mu.Unlock()
-	r, ok := m.tab.regions[c]
+	r, ok := m.regions[c]
 	if !ok {
 		return
 	}
-	delete(m.tab.regions, c)
+	delete(m.regions, c)
 	m.inj.Release(r.pages)
 	m.freeRegion(r)
 	m.stats.Invalidations++
@@ -464,11 +427,7 @@ func (m *Module) resolve(local []memsim.View, c Cookie, remoteOff int64, dir Dir
 	case dir != DirRead && dir != DirWrite:
 		err = fmt.Errorf("knem: copy must be exactly DirRead or DirWrite")
 	default:
-		// The views are copied out of the region, so the lock need not
-		// outlive this call.
-		m.tab.mu.RLock()
-		defer m.tab.mu.RUnlock()
-		r, ok := m.tab.regions[c]
+		r, ok := m.regions[c]
 		switch {
 		case !ok:
 			err = ErrInvalidCookie

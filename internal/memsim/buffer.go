@@ -52,8 +52,7 @@ func (n *Net) Alloc(d *topology.MemDomain, size int64, withData bool) *Buffer {
 	}
 	n.nextBuf++
 	b := n.bufSlab.Get()
-	// bufBase keeps partition ID spaces disjoint; zero outside partitions.
-	b.ID, b.Domain, b.Size = n.bufBase+n.nextBuf, d, size
+	b.ID, b.Domain, b.Size = n.nextBuf, d, size
 	if !withData {
 		b.Data = nil
 	} else if int64(cap(b.Data)) >= size {

@@ -97,21 +97,6 @@ type Net struct {
 	// what a write invalidates. Nil means one island spanning the machine.
 	islGroupLo, islGroupHi []int32
 	islDomLo, islDomHi     []int32
-
-	// Intra-cell partition state (NewPartition). linkLo/linkHi bound the
-	// partition's link slice; a guarded partition panics if a flow strays
-	// outside it, and records every flow's simulated interval for the
-	// post-run soundness audit. bufBase keeps partition buffer IDs
-	// disjoint. foreignRanges/foreignSpans are the fabric-side audit
-	// state: intervals of fabric flows that crossed into a node's link
-	// slice, per node.
-	linkLo, linkHi int
-	linkGuard      bool
-	recordSpans    bool
-	bufBase        int64
-	spans          []FlowSpan
-	foreignRanges  [][2]int32
-	foreignSpans   [][]FlowSpan
 }
 
 // linkUse is one link crossed by a flow; mult > 1 when the flow crosses the
@@ -177,9 +162,6 @@ func New(eng *sim.Engine, m *topology.Machine, stats *trace.Stats) *Net {
 	n.linkNames = names
 	stats.SetLinkNames(names)
 	for _, g := range m.Groups {
-		// One entry pool per group (not per Net): partitions of one cell
-		// share the groupCache objects, so a shared pool would couple
-		// engines through its free list.
 		n.caches = append(n.caches, newGroupCache(g, &entryPool{}))
 	}
 	nv := 0
@@ -209,7 +191,6 @@ func New(eng *sim.Engine, m *topology.Machine, stats *trace.Stats) *Net {
 	n.allocLinkTables(nl)
 	n.onCompletionFn = n.onCompletion
 	n.repriceFn = n.flushReprice
-	n.linkLo, n.linkHi = 0, nl
 	return n
 }
 
@@ -269,10 +250,6 @@ func (n *Net) Reset(stats *trace.Stats) {
 	n.nextBuf, n.flowSeq = 0, 0
 	n.repricePending, n.needSolve = false, false
 	n.rateSolves = 0
-	n.spans = n.spans[:0]
-	for i := range n.foreignSpans {
-		n.foreignSpans[i] = n.foreignSpans[i][:0]
-	}
 	// Every link with nonzero weight is on the active list.
 	for _, i := range n.active {
 		n.linkWeight[i], n.activePos[i] = 0, 0
@@ -492,13 +469,6 @@ func (n *Net) startCopy(engine *topology.Link, core *topology.Core, dst, src Vie
 		f.uses = append(f.uses, linkUse{link: n.mach.Links[i], idx: i, mult: n.useMult[i]})
 	}
 	n.useOrder = n.useOrder[:0]
-	if n.linkGuard {
-		for _, u := range f.uses {
-			if u.idx < n.linkLo || u.idx >= n.linkHi {
-				panic(fmt.Sprintf("memsim: partition flow crosses out-of-slice link %s", u.link.Name))
-			}
-		}
-	}
 
 	n.stats.Copies++
 	n.stats.BytesCopied += src.Len
@@ -753,13 +723,11 @@ func (n *Net) flushReprice() {
 // f's own completion), never because some unrelated flow started or
 // finished — so a flow's floating-point accumulation is chopped exactly
 // at its own rate-change instants. Rate changes only propagate over
-// shared links, which makes those instants identical whether the Net
-// spans the whole machine or one partition of it: the property that keeps
-// intra-cell parallel runs bit-identical to single-engine runs. A flow
-// may land fractionally below zero because its completion instant was
-// computed in floating point; anything beyond finishEps of overshoot
-// means the scheduler lost track of it and is a bug, not drift, so it
-// panics instead of silently clamping.
+// shared links, so a flow's result does not depend on which unrelated
+// flows share the Net. A flow may land fractionally below zero because
+// its completion instant was computed in floating point; anything beyond
+// finishEps of overshoot means the scheduler lost track of it and is a
+// bug, not drift, so it panics instead of silently clamping.
 func (f *flow) depleteTo(now sim.Time) {
 	if dt := now - f.last; dt > 0 {
 		f.remaining -= f.rate * dt
@@ -866,9 +834,6 @@ func (n *Net) onCompletion() {
 		}
 	}
 	for _, f := range finished {
-		if n.recordSpans {
-			n.recordSpan(f)
-		}
 		n.finishFlow(f)
 	}
 	for i, f := range finished {

@@ -20,7 +20,7 @@ func setup(m *topology.Machine) (*sim.Engine, *Net) {
 func approx(t *testing.T, got, want, tol float64, what string) {
 	t.Helper()
 	if math.Abs(got-want) > tol*want {
-		t.Fatalf("%s = %.6g, want %.6g (tol %g)", what, got, want, tol)
+		t.Fatalf("%s = %.12g, want %.12g (tol %g)", what, got, want, tol)
 	}
 }
 

@@ -1,10 +1,12 @@
 package memsim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
@@ -409,4 +411,92 @@ func (s randomScaler) LinkScale(string) float64 {
 		return 1
 	}
 	return 0.5 + 0.5*s.rng.Float64()
+}
+
+// oracleBus is the DRAM bus bandwidth of oracleMachine's sockets.
+const oracleBus = 16e9
+
+// oracleMachine is a one-board synthetic machine with one core per socket,
+// whose interconnect links and cache ports are too fast ever to bind:
+// only the copy engines (coreBW) and the memory buses limit a flow.
+func oracleMachine(sockets int, coreBW float64) *topology.Machine {
+	spec := topology.Dancer().Spec
+	spec.CoreCopyBW = coreBW
+	return topology.Synthetic(topology.SyntheticSpec{
+		Boards: 1, SocketsPerBoard: sockets, CoresPerSocket: 1,
+		BusBW: oracleBus, LinkBW: 1e12,
+		CacheSize: 8 << 20, CachePortBW: 1e12,
+		Spec: spec,
+	})
+}
+
+// runReaders has the cores of sockets 1..k each copy MB from the view
+// src returns, homed on socket 0, into a buffer on the reader's own socket, all
+// starting at t=0. It returns every flow's rate once the start instant
+// has settled and the instant the last copy finished.
+func runReaders(t *testing.T, m *topology.Machine, k int, src func(n *Net) View) ([]float64, float64) {
+	t.Helper()
+	e, n := setup(m)
+	var end float64
+	for i := 1; i <= k; i++ {
+		core, s := m.Cores[i], src(n)
+		dst := n.Alloc(m.Domains[i], MB, false)
+		e.Spawn("reader", func(p *sim.Proc) {
+			n.Copy(p, core, dst.Whole(), s)
+			end = max(end, p.Now())
+		})
+	}
+	var rates []float64
+	e.Schedule(1e-9, func() {
+		for _, f := range n.flows {
+			rates = append(rates, f.rate)
+		}
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(rates) != k {
+		t.Fatalf("%d flows running after the start instant, want %d", len(rates), k)
+	}
+	return rates, end
+}
+
+// TestOracleEqualShareOnOneBus: k equal flows whose only common link is
+// one memory bus, each crossing it once, split the bus evenly — every
+// flow runs at BW/k and all finish at MB·k/BW.
+func TestOracleEqualShareOnOneBus(t *testing.T) {
+	for _, k := range []int{1, 2, 3, 7, 12} {
+		m := oracleMachine(k+1, 1e12)
+		rates, end := runReaders(t, m, k, func(n *Net) View {
+			return n.Alloc(m.Domains[0], MB, false).Whole()
+		})
+		for i, r := range rates {
+			approx(t, r, oracleBus/float64(k), 1e-9, fmt.Sprintf("k=%d flow %d rate", k, i))
+		}
+		approx(t, end, float64(MB)*float64(k)/oracleBus, 1e-9, fmt.Sprintf("k=%d completion", k))
+	}
+}
+
+// TestOracleReceiverReadCappedByRootBus is the paper's §V argument for
+// receiver-driven single-copy collectives: k receivers reading one root
+// region each pull with their own copy engine, so the copies run in
+// parallel — MB/coreBW whatever k is — until together they saturate the
+// root's memory bus, after which each gets BW/k.
+func TestOracleReceiverReadCappedByRootBus(t *testing.T) {
+	const coreBW = 4e9 // the bus caps at k > oracleBus/coreBW = 4
+	for _, k := range []int{1, 2, 4, 5, 8, 12} {
+		m := oracleMachine(k+1, coreBW)
+		var root *Buffer
+		rates, end := runReaders(t, m, k, func(n *Net) View {
+			if root == nil {
+				root = n.Alloc(m.Domains[0], MB, false)
+			}
+			return root.Whole()
+		})
+		rate := min(coreBW, oracleBus/float64(k))
+		for i, r := range rates {
+			approx(t, r, rate, 1e-9, fmt.Sprintf("k=%d flow %d rate", k, i))
+		}
+		approx(t, end, float64(MB)/rate, 1e-9, fmt.Sprintf("k=%d completion", k))
+	}
 }

@@ -125,30 +125,6 @@ type Options struct {
 	// the Stats field is ignored in that case.
 	Engine *sim.Engine
 	Net    *memsim.Net
-	// Part, when non-nil, splits the world across several engines run
-	// under a conservative time-window group (sim.Group): each rank lives
-	// on its partition's engine and memory-system slice, and control
-	// messages crossing partitions are exported to the coordinator, which
-	// re-injects them at their exact delivery timestamps between windows.
-	// Mutually exclusive with Engine/Net, Fault, and Timeline.
-	Part *PartitionSpec
-}
-
-// PartitionSpec describes a partitioned world. The caller (internal/bench)
-// compiles the partitioning: per-partition engines, memsim partition views
-// (memsim.Net.NewPartition) index-aligned with the group's engine order,
-// and the rank→partition map.
-type PartitionSpec struct {
-	// Of maps rank id to partition index.
-	Of []int32
-	// Engines and Nets are index-aligned with each other and with the
-	// engine order Group was built with; Nets[i] must be built on
-	// Engines[i].
-	Engines []*sim.Engine
-	Nets    []*memsim.Net
-	// Group coordinates the engines. NewWorld installs one importer per
-	// engine on it; Run drives it instead of a lone engine.
-	Group *sim.Group
 }
 
 // World is one MPI job on one machine. Worlds are carved from the
@@ -158,42 +134,21 @@ type PartitionSpec struct {
 // transport state, and sequential-by-rank access walks contiguous
 // memory.
 type World struct {
-	// parts holds one runtime slice per partition; an unpartitioned world
-	// has exactly one, and the world-level accessors answer from parts[0].
-	parts    []partRT
+	eng      *sim.Engine
+	net      *memsim.Net
+	tr       *shm.Transport
+	kn       *knem.Module
 	ranks    []Rank
 	opts     Options
 	coll     Coll
 	body     func(r *Rank) // SPMD body for the current Run
 	nextComm int
-}
-
-// partRT is one partition's runtime: its engine, its memory-system view,
-// its transport shard, and its KNEM module. Every rank holds a pointer to
-// its partition's partRT and reaches the fabric exclusively through it, so
-// concurrent partitions never share mutable transport state.
-type partRT struct {
-	eng *sim.Engine
-	net *memsim.Net
-	tr  *shm.Transport
-	kn  *knem.Module
 
 	// oobPool recycles the boxed OOB envelopes (SendOOB allocates one per
-	// message otherwise). Each partition's engine is single-threaded, so a
-	// per-partition pool needs no locking; dispatch returns each envelope
-	// to the *receiving* rank's pool after copying its fields out (an
-	// envelope may migrate pools by crossing partitions — safe, because a
-	// pool is only ever touched by its own engine). The pool survives
-	// arena recycling, so a reused world slot starts warm.
+	// message otherwise); dispatch returns each envelope after copying its
+	// fields out. The pool survives arena recycling, so a reused world
+	// slot starts warm.
 	oobPool []*oobCtrl
-}
-
-// ctrlXfer is one control message crossing partitions: staged as a group
-// export by the sending transport, re-injected into the owning transport's
-// mailbox by the importer at its exact delivery time.
-type ctrlXfer struct {
-	to int
-	m  shm.Msg
 }
 
 // NewWorld builds the runtime but does not start rank bodies; most callers
@@ -214,37 +169,8 @@ func NewWorld(opts Options) (*World, error) {
 	if (opts.Engine == nil) != (opts.Net == nil) {
 		return nil, fmt.Errorf("mpi: Engine and Net must be provided together")
 	}
-	if ps := opts.Part; ps != nil {
-		if opts.Engine != nil || opts.Net != nil {
-			return nil, fmt.Errorf("mpi: Part is mutually exclusive with Engine/Net")
-		}
-		if ps.Group == nil || len(ps.Engines) == 0 || len(ps.Engines) != len(ps.Nets) {
-			return nil, fmt.Errorf("mpi: Part needs a Group and matching Engines/Nets")
-		}
-		if len(ps.Of) != opts.NP {
-			return nil, fmt.Errorf("mpi: Part.Of length %d != NP %d", len(ps.Of), opts.NP)
-		}
-		for i, pi := range ps.Of {
-			if pi < 0 || int(pi) >= len(ps.Engines) {
-				return nil, fmt.Errorf("mpi: rank %d assigned to invalid partition %d", i, pi)
-			}
-		}
-		for i, pn := range ps.Nets {
-			if pn.Engine() != ps.Engines[i] || pn.Machine() != opts.Machine {
-				return nil, fmt.Errorf("mpi: partition net %d is not built on its engine and the machine", i)
-			}
-		}
-		if !opts.Fault.Empty() {
-			return nil, fmt.Errorf("mpi: fault injection is not supported on a partitioned world")
-		}
-		if opts.Timeline != nil {
-			return nil, fmt.Errorf("mpi: timeline capture is not supported on a partitioned world")
-		}
-	}
 	eng, net := opts.Engine, opts.Net
-	if opts.Part != nil {
-		eng, net = opts.Part.Engines[0], opts.Part.Nets[0]
-	} else if eng == nil {
+	if eng == nil {
 		eng = sim.NewEngine()
 		net = memsim.New(eng, opts.Machine, opts.Stats)
 	} else if net.Engine() != eng || net.Machine() != opts.Machine {
@@ -279,54 +205,17 @@ func NewWorld(opts Options) (*World, error) {
 	w.opts = opts
 	w.coll, w.body = nil, nil
 	w.nextComm = 1 // 0 = the world component's tag space, 1 = WorldComm
-	npart := 1
-	if opts.Part != nil {
-		npart = len(opts.Part.Engines)
-	}
-	// Stale slots keep the previous run's oobPool: recycled envelopes stay
-	// valid across runs.
-	w.parts = sim.SlicesFor[partRT](arena).Stale(npart)
-	if opts.Part == nil {
-		p := &w.parts[0]
-		p.eng, p.net = eng, net
-		p.tr = shm.New(net, cores, opts.SHM)
-		p.kn = knem.New(net)
-		if !opts.Fault.Empty() {
-			inj := fault.NewInjector(*opts.Fault, eng, net.Stats(), opts.Timeline)
-			p.kn.SetInjector(inj)
-			net.SetLinkScaler(inj)
-		}
-	} else {
-		ps := opts.Part
-		of, g := ps.Of, ps.Group
-		for i := range w.parts {
-			p := &w.parts[i]
-			p.eng, p.net = ps.Engines[i], ps.Nets[i]
-			src := i
-			p.tr = shm.NewPartitioned(p.net, cores, opts.SHM, int32(i), of,
-				func(to int, at sim.Time, m shm.Msg) {
-					g.Stage(src, sim.Export{Dest: int(of[to]), At: at, Data: &ctrlXfer{to: to, m: m}})
-				})
-			if i == 0 {
-				p.kn = knem.New(p.net)
-			} else {
-				// Partitions share one region table (single-writer by the
-				// collective envelope); stats and view pools stay local.
-				p.kn = knem.NewLinked(p.net, w.parts[0].kn)
-			}
-			g.SetImporter(src, func(at sim.Time, data any) {
-				x := data.(*ctrlXfer)
-				p.tr.InjectCtrlAt(at, x.to, x.m)
-			})
-		}
+	w.eng, w.net = eng, net
+	w.tr = shm.New(net, cores, opts.SHM)
+	w.kn = knem.New(net)
+	if !opts.Fault.Empty() {
+		inj := fault.NewInjector(*opts.Fault, eng, net.Stats(), opts.Timeline)
+		w.kn.SetInjector(inj)
+		net.SetLinkScaler(inj)
 	}
 	w.ranks = sim.SlicesFor[Rank](arena).Stale(opts.NP)
 	for i := range w.ranks {
-		rt := &w.parts[0]
-		if opts.Part != nil {
-			rt = &w.parts[opts.Part.Of[i]]
-		}
-		initRank(&w.ranks[i], w, rt, i)
+		initRank(&w.ranks[i], w, i)
 	}
 	if opts.Coll != nil {
 		w.coll = opts.Coll(w)
@@ -342,30 +231,11 @@ func Run(opts Options, body func(r *Rank)) (sim.Time, *World, error) {
 		return 0, nil, err
 	}
 	w.body = body
-	// Ranks spawn in global rank order so two ranks of one partition keep
-	// the same relative spawn sequence a single engine would give them.
 	for i := range w.ranks {
-		r := &w.ranks[i]
-		r.rt.eng.SpawnArg(rankName(i), runRankBody, r)
+		w.eng.SpawnArg(rankName(i), runRankBody, &w.ranks[i])
 	}
-	if w.opts.Part != nil {
-		err = w.opts.Part.Group.Run()
-	} else {
-		err = w.parts[0].eng.Run()
-	}
-	return w.now(), w, err
-}
-
-// now returns the latest time reached by any partition engine (the lone
-// engine's clock on an unpartitioned world).
-func (w *World) now() sim.Time {
-	t := w.parts[0].eng.Now()
-	for i := 1; i < len(w.parts); i++ {
-		if n := w.parts[i].eng.Now(); n > t {
-			t = n
-		}
-	}
-	return t
+	err = w.eng.Run()
+	return w.eng.Now(), w, err
 }
 
 // runRankBody is the shared process body for every rank: SpawnArg applies
@@ -400,13 +270,11 @@ func (w *World) Size() int { return len(w.ranks) }
 // Machine returns the hardware model.
 func (w *World) Machine() *topology.Machine { return w.opts.Machine }
 
-// Net returns the memory simulator (partition 0's view on a partitioned
-// world).
-func (w *World) Net() *memsim.Net { return w.parts[0].net }
+// Net returns the memory simulator.
+func (w *World) Net() *memsim.Net { return w.net }
 
-// Knem returns the node's KNEM module (partition 0's on a partitioned
-// world; all partitions share one region table).
-func (w *World) Knem() *knem.Module { return w.parts[0].kn }
+// Knem returns the node's KNEM module.
+func (w *World) Knem() *knem.Module { return w.kn }
 
 // Decider returns the tuned decision source attached to the world, or nil
 // when the hardcoded switch points are in force.
@@ -415,17 +283,14 @@ func (w *World) Decider() *tune.Decider { return w.opts.Decider }
 // BTL reports the world's large-message point-to-point transport.
 func (w *World) BTL() BTLKind { return w.opts.BTL }
 
-// Transport returns the shared-memory transport (partition 0's shard on a
-// partitioned world).
-func (w *World) Transport() *shm.Transport { return w.parts[0].tr }
+// Transport returns the shared-memory transport.
+func (w *World) Transport() *shm.Transport { return w.tr }
 
-// Engine returns the simulation engine (partition 0's on a partitioned
-// world).
-func (w *World) Engine() *sim.Engine { return w.parts[0].eng }
+// Engine returns the simulation engine.
+func (w *World) Engine() *sim.Engine { return w.eng }
 
-// Stats returns the counter sink (partition 0's on a partitioned world;
-// per-partition sinks are merged by the caller afterwards).
-func (w *World) Stats() *trace.Stats { return w.parts[0].net.Stats() }
+// Stats returns the counter sink.
+func (w *World) Stats() *trace.Stats { return w.net.Stats() }
 
 // Rank returns rank i's handle (for cross-rank inspection in tests).
 func (w *World) Rank(i int) *Rank { return &w.ranks[i] }

@@ -137,13 +137,13 @@ func (r *Rank) Isend(to, tag int, v memsim.View) *Request {
 		panic(fmt.Sprintf("mpi: Isend to invalid rank %d", to))
 	}
 	q := &Request{r: r, kind: reqSend, peer: to, tag: tag, view: v}
-	if v.Len <= r.rt.tr.Cfg.EagerMax {
+	if v.Len <= r.w.tr.Cfg.EagerMax {
 		r.takeCredit(to)
 		seq := r.sendSeq[to]
 		r.sendSeq[to]++
-		slot := r.rt.tr.Pair(r.id, to).Slot(seq)
-		r.rt.tr.CopyIn(r.proc, r.id, slot, v)
-		r.rt.tr.SendCtrl(r.id, to, eagerMsg{tag: tag, n: v.Len, slotSeq: seq})
+		slot := r.w.tr.Pair(r.id, to).Slot(seq)
+		r.w.tr.CopyIn(r.proc, r.id, slot, v)
+		r.w.tr.SendCtrl(r.id, to, eagerMsg{tag: tag, n: v.Len, slotSeq: seq})
 		q.state = stateDone
 		return q
 	}
@@ -152,7 +152,7 @@ func (r *Rank) Isend(to, tag int, v memsim.View) *Request {
 	r.activeSend[q.id] = q
 	rts := rtsMsg{tag: tag, n: v.Len, sendID: q.id}
 	if r.w.opts.BTL == BTLKNEM && v.Len >= r.w.opts.KnemMin {
-		c, err := r.rt.kn.Create(r.proc, r.id, []memsim.View{v}, knem.DirRead)
+		c, err := r.w.kn.Create(r.proc, r.id, []memsim.View{v}, knem.DirRead)
 		if err == nil {
 			q.cookie = c
 			rts.cookie = c
@@ -161,10 +161,10 @@ func (r *Rank) Isend(to, tag int, v memsim.View) *Request {
 			// fault): degrade this message to the SM fragment pipeline.
 			// The RTS carries no cookie, so the receiver runs the
 			// copy-in/copy-out rendezvous.
-			r.rt.net.Stats().Fallbacks++
+			r.w.net.Stats().Fallbacks++
 		}
 	}
-	r.rt.tr.SendCtrl(r.id, to, rts)
+	r.w.tr.SendCtrl(r.id, to, rts)
 	return q
 }
 
@@ -205,24 +205,24 @@ func (r *Rank) matchRTS(q *Request, src int, rts *rtsMsg) {
 	dst := q.view.SubView(0, rts.n)
 	if rts.cookie != 0 {
 		// KNEM single copy, performed by the receiving core.
-		err := r.rt.kn.Copy(r.proc, r.core, []memsim.View{dst}, rts.cookie, 0, knem.DirRead)
+		err := r.w.kn.Copy(r.proc, r.core, []memsim.View{dst}, rts.cookie, 0, knem.DirRead)
 		if err == nil {
-			r.rt.tr.SendCtrl(r.id, src, finMsg{sendID: rts.sendID})
+			r.w.tr.SendCtrl(r.id, src, finMsg{sendID: rts.sendID})
 			q.state = stateDone
 			return
 		}
-		if r.rt.kn.Injector() == nil {
+		if r.w.kn.Injector() == nil {
 			panic("mpi: knem copy failed: " + err.Error())
 		}
 		// The single copy failed under a fault plan (transient fault or
 		// invalidated cookie): degrade to the SM fragment pipeline. The
 		// CTS tells the sender to drop its region and stream instead.
-		r.rt.net.Stats().Fallbacks++
+		r.w.net.Stats().Fallbacks++
 	}
 	r.nextReq++
 	q.id = r.nextReq
 	r.activeRecv[q.id] = q
-	r.rt.tr.SendCtrl(r.id, src, ctsMsg{sendID: rts.sendID, recvID: q.id})
+	r.w.tr.SendCtrl(r.id, src, ctsMsg{sendID: rts.sendID, recvID: q.id})
 }
 
 // Wait blocks until all given requests complete, progressing the rank's
@@ -280,8 +280,8 @@ func (r *Rank) Sendrecv(to, stag int, sv memsim.View, from, rtag int, rv memsim.
 
 // stream pushes the fragments of an SM rendezvous send.
 func (r *Rank) stream(q *Request) {
-	frag := r.rt.tr.Cfg.FragSize
-	pair := r.rt.tr.Pair(r.id, q.peer)
+	frag := r.w.tr.Cfg.FragSize
+	pair := r.w.tr.Pair(r.id, q.peer)
 	for off := int64(0); off < q.view.Len; {
 		n := frag
 		if rem := q.view.Len - off; rem < n {
@@ -291,8 +291,8 @@ func (r *Rank) stream(q *Request) {
 		seq := r.sendSeq[q.peer]
 		r.sendSeq[q.peer]++
 		slot := pair.Slot(seq)
-		r.rt.tr.CopyIn(r.proc, r.id, slot, q.view.SubView(off, n))
-		r.rt.tr.SendCtrl(r.id, q.peer, fragMsg{recvID: q.recvID, slotSeq: seq, n: n, off: off})
+		r.w.tr.CopyIn(r.proc, r.id, slot, q.view.SubView(off, n))
+		r.w.tr.SendCtrl(r.id, q.peer, fragMsg{recvID: q.recvID, slotSeq: seq, n: n, off: off})
 		off += n
 	}
 	q.state = stateDone
@@ -303,7 +303,7 @@ func (r *Rank) stream(q *Request) {
 // one is available.
 func (r *Rank) takeCredit(to int) {
 	if _, ok := r.credits[to]; !ok {
-		r.credits[to] = r.rt.tr.Cfg.Depth
+		r.credits[to] = r.w.tr.Cfg.Depth
 	}
 	for r.credits[to] == 0 {
 		r.progressOne()
@@ -313,7 +313,7 @@ func (r *Rank) takeCredit(to int) {
 
 // progressOne blocks on the control mailbox and dispatches one message.
 func (r *Rank) progressOne() {
-	r.dispatch(r.rt.tr.RecvCtrl(r.proc, r.id))
+	r.dispatch(r.w.tr.RecvCtrl(r.proc, r.id))
 }
 
 // dispatch routes one delivered control message.
@@ -332,7 +332,7 @@ func (r *Rank) dispatch(msg shm.Msg) {
 			// The receiver degraded a KNEM rendezvous to SM streaming;
 			// the region is no longer needed (and may already be gone
 			// if a fault invalidated it).
-			if err := r.rt.kn.Destroy(r.proc, q.cookie); err != nil && err != knem.ErrInvalidCookie {
+			if err := r.w.kn.Destroy(r.proc, q.cookie); err != nil && err != knem.ErrInvalidCookie {
 				panic("mpi: knem destroy failed: " + err.Error())
 			}
 			q.cookie = 0
@@ -346,7 +346,7 @@ func (r *Rank) dispatch(msg shm.Msg) {
 		if q == nil {
 			panic("mpi: FIN for unknown send")
 		}
-		if err := r.rt.kn.Destroy(r.proc, q.cookie); err != nil {
+		if err := r.w.kn.Destroy(r.proc, q.cookie); err != nil {
 			panic("mpi: knem destroy failed: " + err.Error())
 		}
 		q.state = stateDone
@@ -356,7 +356,7 @@ func (r *Rank) dispatch(msg shm.Msg) {
 	case *oobCtrl:
 		r.oobQ = append(r.oobQ, oobMsg{from: msg.From, tag: m.tag, data: m.data})
 		m.data = nil
-		r.rt.oobPool = append(r.rt.oobPool, m)
+		r.w.oobPool = append(r.w.oobPool, m)
 	default:
 		panic(fmt.Sprintf("mpi: unknown control payload %T", msg.Payload))
 	}
@@ -364,22 +364,22 @@ func (r *Rank) dispatch(msg shm.Msg) {
 
 // onEager handles an arrived eager fragment.
 func (r *Rank) onEager(src int, m eagerMsg) {
-	slot := r.rt.tr.Pair(src, r.id).Slot(m.slotSeq)
+	slot := r.w.tr.Pair(src, r.id).Slot(m.slotSeq)
 	if q := r.takePosted(src, m.tag); q != nil {
 		if m.n > q.view.Len {
 			panic("mpi: eager truncation")
 		}
 		q.matchedFrom = src
 		q.total = m.n
-		r.rt.tr.CopyOut(r.proc, r.id, q.view.SubView(0, m.n), slot)
-		r.rt.tr.SendCtrl(r.id, src, creditMsg{})
+		r.w.tr.CopyOut(r.proc, r.id, q.view.SubView(0, m.n), slot)
+		r.w.tr.SendCtrl(r.id, src, creditMsg{})
 		q.state = stateDone
 		return
 	}
 	// Unexpected: park the payload so the slot frees in FIFO order.
-	temp := r.rt.net.Alloc(r.core.Domain, m.n, q0data(slot))
-	r.rt.tr.CopyOut(r.proc, r.id, temp.Whole(), slot)
-	r.rt.tr.SendCtrl(r.id, src, creditMsg{})
+	temp := r.w.net.Alloc(r.core.Domain, m.n, q0data(slot))
+	r.w.tr.CopyOut(r.proc, r.id, temp.Whole(), slot)
+	r.w.tr.SendCtrl(r.id, src, creditMsg{})
 	r.unexpected = append(r.unexpected, &inHdr{src: src, tag: m.tag, n: m.n, temp: temp})
 }
 
@@ -411,9 +411,9 @@ func (r *Rank) onFrag(src int, m fragMsg) {
 	if m.off != q.received {
 		panic("mpi: out-of-order fragment")
 	}
-	slot := r.rt.tr.Pair(src, r.id).Slot(m.slotSeq)
-	r.rt.tr.CopyOut(r.proc, r.id, q.view.SubView(m.off, m.n), slot)
-	r.rt.tr.SendCtrl(r.id, src, creditMsg{})
+	slot := r.w.tr.Pair(src, r.id).Slot(m.slotSeq)
+	r.w.tr.CopyOut(r.proc, r.id, q.view.SubView(m.off, m.n), slot)
+	r.w.tr.SendCtrl(r.id, src, creditMsg{})
 	q.received += m.n
 	if q.received == q.total {
 		q.state = stateDone
@@ -441,15 +441,15 @@ func (r *Rank) takePosted(src, tag int) *Request {
 // §V-A.
 func (r *Rank) SendOOB(to, tag int, data any) {
 	var m *oobCtrl
-	if k := len(r.rt.oobPool); k > 0 {
-		m = r.rt.oobPool[k-1]
-		r.rt.oobPool[k-1] = nil
-		r.rt.oobPool = r.rt.oobPool[:k-1]
+	if k := len(r.w.oobPool); k > 0 {
+		m = r.w.oobPool[k-1]
+		r.w.oobPool[k-1] = nil
+		r.w.oobPool = r.w.oobPool[:k-1]
 	} else {
 		m = &oobCtrl{}
 	}
 	m.tag, m.data = tag, data
-	r.rt.tr.SendCtrl(r.id, to, m)
+	r.w.tr.SendCtrl(r.id, to, m)
 }
 
 // RecvOOB blocks until an out-of-band value with the given tag arrives
@@ -479,7 +479,7 @@ func (r *Rank) TryRecvOOB(src, tag int) (any, int, bool) {
 				return m.data, m.from, true
 			}
 		}
-		msg, ok := r.rt.tr.TryRecvCtrl(r.id)
+		msg, ok := r.w.tr.TryRecvCtrl(r.id)
 		if !ok {
 			return nil, 0, false
 		}
@@ -521,7 +521,7 @@ func (r *Rank) Iprobe(src, tag int) (Status, bool) {
 		if st, ok := r.findHeader(src, tag); ok {
 			return st, true
 		}
-		msg, ok := r.rt.tr.TryRecvCtrl(r.id)
+		msg, ok := r.w.tr.TryRecvCtrl(r.id)
 		if !ok {
 			return Status{}, false
 		}
@@ -572,7 +572,7 @@ func (r *Rank) Testall(reqs ...*Request) bool {
 		if done {
 			return true
 		}
-		msg, ok := r.rt.tr.TryRecvCtrl(r.id)
+		msg, ok := r.w.tr.TryRecvCtrl(r.id)
 		if !ok {
 			return false
 		}

@@ -21,7 +21,6 @@ const (
 // function (they block the rank's process in simulated time).
 type Rank struct {
 	w    *World
-	rt   *partRT // this rank's partition runtime (== &w.parts[0] unpartitioned)
 	id   int
 	proc *sim.Proc
 	core *topology.Core
@@ -44,8 +43,8 @@ type Rank struct {
 // recycled rather than rebuilt: the four p2p maps keep their buckets via
 // clear (reinsertion up to the high-water peer count allocates nothing),
 // and the queue slices keep their capacity.
-func initRank(r *Rank, w *World, rt *partRT, id int) {
-	r.w, r.rt, r.id, r.core = w, rt, id, rt.tr.Core(id)
+func initRank(r *Rank, w *World, id int) {
+	r.w, r.id, r.core = w, id, w.tr.Core(id)
 	r.proc = nil
 	clear(r.posted)
 	r.posted = r.posted[:0]
@@ -79,19 +78,14 @@ func (r *Rank) World() *World { return r.w }
 // Core returns the core this rank is pinned to.
 func (r *Rank) Core() *topology.Core { return r.core }
 
-// Net returns the memory-system view this rank executes on (its
-// partition's slice of a partitioned world; the whole net otherwise).
-func (r *Rank) Net() *memsim.Net { return r.rt.net }
+// Net returns the memory system this rank executes on.
+func (r *Rank) Net() *memsim.Net { return r.w.net }
 
-// Knem returns the KNEM module serving this rank. All partitions of one
-// world share a region table, so a cookie created by any rank resolves
-// through any rank's module.
-func (r *Rank) Knem() *knem.Module { return r.rt.kn }
+// Knem returns the KNEM module serving this rank.
+func (r *Rank) Knem() *knem.Module { return r.w.kn }
 
-// Stats returns the counter sink this rank charges. On a partitioned
-// world each partition accumulates privately; the runner merges the sinks
-// in partition order afterwards, so totals match the single-engine run.
-func (r *Rank) Stats() *trace.Stats { return r.rt.net.Stats() }
+// Stats returns the counter sink this rank charges.
+func (r *Rank) Stats() *trace.Stats { return r.w.net.Stats() }
 
 // Proc returns the simulated process executing this rank.
 func (r *Rank) Proc() *sim.Proc { return r.proc }
@@ -102,19 +96,19 @@ func (r *Rank) Now() sim.Time { return r.proc.Now() }
 // Alloc allocates a buffer on this rank's memory domain (first-touch
 // locality, as an MPI process touching its own buffers would get).
 func (r *Rank) Alloc(size int64) *memsim.Buffer {
-	return r.rt.net.Alloc(r.core.Domain, size, r.w.opts.WithData)
+	return r.w.net.Alloc(r.core.Domain, size, r.w.opts.WithData)
 }
 
 // AllocData allocates a byte-backed buffer regardless of the world's
 // WithData setting.
 func (r *Rank) AllocData(size int64) *memsim.Buffer {
-	return r.rt.net.Alloc(r.core.Domain, size, true)
+	return r.w.net.Alloc(r.core.Domain, size, true)
 }
 
 // LocalCopy copies src to dst with this rank's own core (a plain memcpy in
 // the rank's address space).
 func (r *Rank) LocalCopy(dst, src memsim.View) {
-	r.rt.net.Copy(r.proc, r.core, dst, src)
+	r.w.net.Copy(r.proc, r.core, dst, src)
 }
 
 // Compute charges ops operations of local computation at the machine's
@@ -134,7 +128,7 @@ func (r *Rank) Sleep(d sim.Time) { r.proc.Wait(d) }
 // streams large working sets (polluting the cache) or keeps hot buffers
 // resident report that here, after the corresponding Compute call.
 func (r *Rank) TouchCache(v memsim.View, write bool) {
-	r.rt.net.Touch(r.core, v, write)
+	r.w.net.Touch(r.core, v, write)
 }
 
 // --- Collective dispatch -------------------------------------------------

@@ -245,16 +245,10 @@ type StatsResponse struct {
 	// Shards is the measurement-shard pool's high-water footprint (arena
 	// bytes and slab counts) — the resident cost a warm simulation worker
 	// holds between cells.
-	Shards bench.ShardStats `json:"shards"`
-	// EngineGroups is the intra-cell parallel runner's pool-wide activity:
-	// engine-group leases, the high-water engine count, conservative time
-	// windows executed, the deepest cross-partition export queue seen in
-	// one window, and how often the post-run audit demoted a cell to a
-	// serial re-run.
-	EngineGroups bench.EngineGroupStats `json:"engine_groups"`
-	BatchLatency HistStats              `json:"batch_latency"`
-	CellLatency  HistStats              `json:"cell_latency"`
-	SimLatency   HistStats              `json:"sim_latency"`
+	Shards       bench.ShardStats `json:"shards"`
+	BatchLatency HistStats        `json:"batch_latency"`
+	CellLatency  HistStats        `json:"cell_latency"`
+	SimLatency   HistStats        `json:"sim_latency"`
 }
 
 // compsByName is the closed set of components a request may name.
@@ -552,7 +546,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			SimHits: simHits, SimMisses: simMisses, SimDeduped: bench.DedupedCount() - s.simDeduped0,
 		},
 		Shards:       bench.Shards(),
-		EngineGroups: bench.EngineGroups(),
 		BatchLatency: s.histBatch.stats(),
 		CellLatency:  s.histCell.stats(),
 		SimLatency:   s.histSim.stats(),

@@ -78,15 +78,6 @@ type Transport struct {
 	// hasLat caches Machine.HasLatency so the single-machine control path
 	// pays nothing for the cluster fabric-latency feature.
 	hasLat bool
-
-	// Partitioned fabric (NewPartitioned): owner[i] is the partition index
-	// owning endpoint i, self is this transport's partition, and export
-	// hands off control messages addressed to foreign endpoints — they are
-	// delivered by the peer transport's InjectCtrlAt between conservative
-	// windows. nil owner means a whole-world transport (the default).
-	owner  []int32
-	self   int32
-	export func(to int, at sim.Time, m Msg)
 }
 
 // delivery is one in-flight control message awaiting its latency event.
@@ -103,31 +94,10 @@ type delivery struct {
 // and waiter pools intact), delivery records, and pair FIFOs, so
 // rebuilding the fabric for a repeat cell allocates nothing.
 func New(net *memsim.Net, cores []*topology.Core, cfg Config) *Transport {
-	return newTransport(net, cores, cfg, nil, 0, nil)
-}
-
-// NewPartitioned creates one partition's slice of a fabric whose endpoints
-// are split across engines: owner[i] names the partition owning endpoint i,
-// and only owned endpoints get a mailbox here (a rank must RecvCtrl on its
-// owning partition's transport). A control message to a foreign endpoint is
-// handed to export with its absolute delivery time; the coordinator injects
-// it into the peer partition between conservative windows, so the delivery
-// timestamp is exactly the one an unpartitioned transport would produce.
-// Pair FIFOs require both endpoints in this partition — the collective
-// envelope keeps cross-partition payload on KNEM and OOB paths.
-func NewPartitioned(net *memsim.Net, cores []*topology.Core, cfg Config, self int32, owner []int32, export func(to int, at sim.Time, m Msg)) *Transport {
-	if len(owner) != len(cores) {
-		panic("shm: NewPartitioned owner table does not cover every endpoint")
-	}
-	return newTransport(net, cores, cfg, owner, self, export)
-}
-
-func newTransport(net *memsim.Net, cores []*topology.Core, cfg Config, owner []int32, self int32, export func(to int, at sim.Time, m Msg)) *Transport {
 	cfg.fill()
 	arena := net.Engine().Arena()
 	t := sim.SlabFor[Transport](arena).Get()
 	t.Cfg, t.net, t.stats, t.cores = cfg, net, net.Stats(), cores
-	t.owner, t.self, t.export = owner, self, export
 	if t.pairs == nil {
 		t.pairs = make(map[[2]int]*Pair)
 	} else {
@@ -141,10 +111,6 @@ func newTransport(net *memsim.Net, cores []*topology.Core, cfg Config, owner []i
 	t.mail = sim.SlicesFor[*sim.Chan[Msg]](arena).Make(len(cores))
 	chans := sim.SlabFor[sim.Chan[Msg]](arena)
 	for i := range t.mail {
-		if owner != nil && owner[i] != self {
-			t.mail[i] = nil // foreign endpoint: its mailbox lives on its own partition
-			continue
-		}
 		ch := chans.Get()
 		sim.ReinitChan(ch, net.Engine(), 1<<30)
 		t.mail[i] = ch
@@ -174,13 +140,6 @@ func (t *Transport) SendCtrl(from, to int, payload any) {
 	if t.hasLat && from >= 0 && from < len(t.cores) {
 		lat += t.net.Machine().PathLatency(t.cores[from].Vertex, t.cores[to].Vertex)
 	}
-	if t.owner != nil && t.owner[to] != t.self {
-		// Foreign endpoint: hand the message and its absolute delivery time
-		// to the coordinator. CtrlLatency is the group's lookahead, so the
-		// delivery time always lands at or beyond the next window horizon.
-		t.export(to, t.net.Engine().Now()+lat, Msg{From: from, Payload: payload})
-		return
-	}
 	d := t.newDelivery()
 	d.to, d.msg = to, Msg{From: from, Payload: payload}
 	t.net.Engine().ScheduleOwnedArg(lat, t.deliverFn, d)
@@ -205,18 +164,6 @@ func (t *Transport) newDelivery() *delivery {
 		return d
 	}
 	return &delivery{}
-}
-
-// InjectCtrlAt delivers a control message exported by a peer partition's
-// SendCtrl. Called by the group coordinator between windows; the delivery
-// event lands at the exact timestamp the unpartitioned transport would
-// have used, so mailbox contents are time-for-time identical.
-func (t *Transport) InjectCtrlAt(at sim.Time, to int, m Msg) {
-	t.net.Engine().ScheduleAt(at, func() {
-		if !t.mail[to].TrySend(m) {
-			panic("shm: mailbox overflow")
-		}
-	})
 }
 
 // RecvCtrl blocks p until a control message arrives for endpoint self.
@@ -245,9 +192,6 @@ type Pair struct {
 // slots are arena-recycled like the transport itself; each slot owns its
 // semaphore for good.
 func (t *Transport) Pair(from, to int) *Pair {
-	if t.owner != nil && (t.owner[from] != t.self || t.owner[to] != t.self) {
-		panic(fmt.Sprintf("shm: pair %d->%d crosses partitions", from, to))
-	}
 	key := [2]int{from, to}
 	if pr, ok := t.pairs[key]; ok {
 		return pr

@@ -15,7 +15,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 )
@@ -174,14 +173,6 @@ func (e *Engine) ScheduleOwnedAt(t Time, fn func()) *Event {
 	return e.at(t, fn, true)
 }
 
-// ScheduleAt registers fn to run at absolute time t (>= Now()).
-func (e *Engine) ScheduleAt(t Time, fn func()) *Event {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: ScheduleAt %g before now %g", t, e.now))
-	}
-	return e.at(t, fn, false)
-}
-
 func (e *Engine) at(t Time, fn func(), pooled bool) *Event {
 	var ev *Event
 	if pooled && len(e.free) > 0 {
@@ -300,7 +291,7 @@ func (e *Engine) Run() error {
 	}
 	e.running = true
 	defer func() { e.running = false }()
-	if err := e.loop(math.Inf(1)); err != nil {
+	if err := e.loop(); err != nil {
 		e.killParked()
 		return err
 	}
@@ -319,71 +310,11 @@ func (e *Engine) Run() error {
 	return err
 }
 
-// RunUntil fires every event strictly before limit and pauses: the queue,
-// parked processes, and the clock (left at the last fired instant) stay
-// intact, so a later RunUntil or event injection (ScheduleAt) resumes the
-// simulation exactly where it stopped. It is the horizon-stepping primitive
-// of conservative windowed multi-engine execution (see Group): unlike Run
-// it neither reports deadlock nor kills parked processes at the boundary —
-// an engine out of local events may be waiting for a cross-engine import.
-// Watchdog and interrupt aborts behave as under Run (parked processes are
-// killed, the error is returned).
-func (e *Engine) RunUntil(limit Time) error {
-	if e.running {
-		panic("sim: RunUntil called reentrantly")
-	}
-	e.running = true
-	defer func() { e.running = false }()
-	if err := e.loop(limit); err != nil {
-		e.killParked()
-		return err
-	}
-	return nil
-}
-
-// NextEventTime returns the instant of the earliest pending event, and
-// ok=false on an empty queue.
-func (e *Engine) NextEventTime() (Time, bool) {
-	ev := e.q.peek()
-	if ev == nil {
-		return 0, false
-	}
-	return ev.t, true
-}
-
-// Live returns the number of spawned processes that have not finished
-// (parked or runnable). The windowed Group uses it for cross-engine
-// deadlock detection once every queue drains.
-func (e *Engine) Live() int { return e.live }
-
-// ParkedReasons appends "name: reason" for every parked process to dst and
-// returns it (the Group aggregates these into one DeadlockError).
-func (e *Engine) ParkedReasons(dst []string) []string {
-	for _, p := range e.procs {
-		if p.state == procParked {
-			dst = append(dst, p.name+": "+p.blockReason)
-		}
-	}
-	return dst
-}
-
-// KillParked unwinds every parked process (their body defers run). The
-// windowed Group calls it once the whole group has finished or aborted;
-// single-engine callers never need it (Run kills on return).
-func (e *Engine) KillParked() { e.killParked() }
-
-// loop is the event loop shared by Run (limit = +Inf) and RunUntil: it
-// fires events with t < limit and returns a watchdog or interrupt error,
-// nil otherwise.
-func (e *Engine) loop(limit Time) error {
+// loop is Run's event loop: it fires events until the queue drains or
+// Stop is called and returns a watchdog or interrupt error, nil otherwise.
+func (e *Engine) loop() error {
 	for e.q.size > 0 && !e.stopped {
 		ev := e.q.popMin()
-		if ev.t >= limit {
-			// The event belongs to a later window: put it back (its seq is
-			// unchanged, so its tie-break position is preserved) and pause.
-			e.q.push(ev)
-			return nil
-		}
 		if ev.t < e.now {
 			panic("sim: time went backwards")
 		}

@@ -68,8 +68,7 @@ type ClusterNode struct {
 	// FirstLink/NLinks is this node's contiguous slice of Global.Links:
 	// its interconnect edges, memory buses, cache ports, and core engine
 	// links, in replication order. Fabric links (switch uplinks and
-	// point-to-point links) come after every node's range. The intra-cell
-	// partitioner keys per-node memsim partitions off these ranges.
+	// point-to-point links) come after every node's range.
 	FirstLink int
 	NLinks    int
 	// FirstGroup/NGroups is the node's contiguous slice of Global.Groups
@@ -97,23 +96,6 @@ type Cluster struct {
 
 // NNodes returns the number of nodes.
 func (c *Cluster) NNodes() int { return len(c.Nodes) }
-
-// Lookahead returns the conservative-window lookahead for intra-cell
-// parallel execution of this cluster: the minimum simulated latency of
-// any interaction that crosses a partition boundary. Partitions split
-// member ranks (per node) from the leader/fabric domain, and the only
-// cross-partition traffic is intra-node member↔leader control messages,
-// whose latency is Spec.CtrlLatency plus a non-negative path latency —
-// so CtrlLatency itself is the exact floor (fabric link latencies only
-// add on top for inter-node hops, which stay inside the fabric
-// partition). A zero control latency admits no conservative window and
-// is rejected with a one-line error.
-func (c *Cluster) Lookahead() (float64, error) {
-	if la := c.Global.Spec.CtrlLatency; la > 0 {
-		return la, nil
-	}
-	return 0, fmt.Errorf("cluster %s: zero ctrl latency leaves no lookahead for intra-cell parallelism", c.Name)
-}
 
 // NodeOfCore returns the index of the node owning the given global core.
 func (c *Cluster) NodeOfCore(core int) int { return c.nodeOfCore[core] }

@@ -84,9 +84,8 @@ func (s *Stats) Snapshot() Stats {
 }
 
 // Merge folds other's counters into s. Every field is an additive total
-// (there are no gauges), so merging the per-partition sinks of an
-// intra-cell parallel run in partition order yields exactly the counters
-// a single shared sink would have accumulated. Both sinks' dense link
+// (there are no gauges), so merged sinks hold exactly the counters one
+// shared sink would have accumulated. Both sinks' dense link
 // accumulators are flushed first; other is left flushed but otherwise
 // unchanged.
 func (s *Stats) Merge(other *Stats) {
