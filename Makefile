@@ -1,10 +1,5 @@
 GO ?= go
 
-# Extra flags for the simbench trajectory runs. CI passes
-# SIMBENCH_FLAGS="-min-cpus 2" so the bench gate fails (rather than
-# silently measuring a degenerate trajectory) on single-core runners.
-SIMBENCH_FLAGS ?=
-
 .PHONY: all check test test-race vet fuzz-short bench bench-smoke bench-diff cluster-smoke scale-smoke simd-smoke figures table1 results results-check tune-smoke profile clean
 
 all: test vet
@@ -32,16 +27,17 @@ fuzz-short:
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=100ms ./internal/sim ./internal/memsim
-	$(GO) run ./cmd/simbench $(SIMBENCH_FLAGS) -o BENCH_sim.json
+	$(GO) run ./cmd/simbench -o BENCH_sim.json
 
-# Regression gate: re-measure the full trajectory and fail if the process
-# handoff (sim/park_wake) or the sequential sweep wall clock regressed more
-# than 25% against the committed BENCH_sim.json. The fresh report lands in
-# /tmp so the committed baseline stays the comparison point; `make bench`
-# rewrites the baseline deliberately.
+# Regression gate: re-measure every simbench cell and fail if a gate its
+# cell defines fails: an allocation on a path pinned at 0 allocs/op, or a
+# median more than 25% over the committed BENCH_sim.json on the
+# sim/park_wake and core/bcast_cell_512 ns/op or the cluster cells'
+# allocs/op. The fresh report lands in /tmp so the committed baseline stays
+# the comparison point; `make bench` rewrites the baseline deliberately.
 bench-smoke:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
-	$(GO) run ./cmd/simbench $(SIMBENCH_FLAGS) -check BENCH_sim.json -tolerance 0.25 -o /tmp/BENCH_sim.current.json
+	$(GO) run ./cmd/simbench -check BENCH_sim.json -o /tmp/BENCH_sim.current.json
 
 # Print the old-vs-new delta table between the committed baseline and the
 # report bench-smoke just measured (run bench-smoke first).
@@ -88,7 +84,7 @@ results-check:
 # attributes (almost) everything to setup, not the copy loop.
 profile:
 	mkdir -p profile
-	$(GO) run ./cmd/simbench $(SIMBENCH_FLAGS) -cpuprofile profile/sim.cpu.pprof -memprofile profile/sim.mem.pprof -o profile/BENCH_sim.profile.json
+	$(GO) run ./cmd/simbench -cpuprofile profile/sim.cpu.pprof -memprofile profile/sim.mem.pprof -o profile/BENCH_sim.profile.json
 	$(GO) run ./cmd/imb -no-cache -op bcast -machine Dancer -sizes 64K,1M -iters 2 -cpuprofile profile/imb.cpu.pprof -memprofile profile/imb.mem.pprof > /dev/null
 	$(GO) tool pprof -top -nodecount=10 profile/sim.cpu.pprof
 	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space profile/sim.mem.pprof
@@ -132,14 +128,13 @@ cluster-smoke:
 # -parallel 1 and -parallel 4 with the memo cache off so both runs truly
 # simulate — the sharded sweep runner's reuse of engines and nets across
 # cells must keep the tables byte-identical at every parallelism level.
-# Then run the 10,240-rank cluster cell once under the CPU profiler (the
-# arena-backed construction path at its largest scale) and assert the
-# profile landed non-empty.
+# Then run simbench's 10,240-rank cluster cell (one cold run, three warm
+# re-runs) under the CPU profiler and assert the profile landed non-empty.
 scale-smoke:
 	$(GO) run -race ./cmd/imb -machine MC512 -comps KNEM-Coll,Tuned-SM -op bcast -sizes 64K -iters 1 -parallel 1 -no-cache > /tmp/scale-smoke-a.txt
 	$(GO) run -race ./cmd/imb -machine MC512 -comps KNEM-Coll,Tuned-SM -op bcast -sizes 64K -iters 1 -parallel 4 -no-cache > /tmp/scale-smoke-b.txt
 	cmp /tmp/scale-smoke-a.txt /tmp/scale-smoke-b.txt
-	$(GO) run ./cmd/simbench $(SIMBENCH_FLAGS) -only cluster_10k -cpuprofile /tmp/scale-smoke-10k.pprof -o /tmp/scale-smoke-10k.json
+	$(GO) run ./cmd/simbench -only cluster/bcast_10k -cpuprofile /tmp/scale-smoke-10k.pprof -o /tmp/scale-smoke-10k.json
 	test -s /tmp/scale-smoke-10k.pprof
 
 # Serving smoke: boot the simd daemon on a random port against a fresh

@@ -181,9 +181,10 @@ func buildPlan(seed int64, createEvery int, pinBudget int64, invalEvery int, cop
 	return p
 }
 
-// checkLinks rejects -fault-link names that are not links of m, so a
-// misspelt name fails the run instead of leaving it undegraded. Names are
-// checked in sorted order, so the error is deterministic.
+// checkLinks rejects -fault-link names that are not links of m, and scales
+// outside (0, 1], so a misspelt name or a scale fault.Injector would ignore
+// fails the run instead of leaving it undegraded. Names are checked in
+// sorted order, so the error is deterministic.
 func checkLinks(plan *fault.Plan, m *topology.Machine) error {
 	if plan == nil || len(plan.LinkSlowdown) == 0 {
 		return nil
@@ -195,6 +196,9 @@ func checkLinks(plan *fault.Plan, m *topology.Machine) error {
 	for _, name := range slices.Sorted(maps.Keys(plan.LinkSlowdown)) {
 		if !known[name] {
 			return fmt.Errorf("unknown -fault-link link %q on machine %s", name, m.Name)
+		}
+		if s := plan.LinkSlowdown[name]; !(s > 0 && s <= 1) {
+			return fmt.Errorf("-fault-link scale for %q must be in (0, 1], got %g", name, s)
 		}
 	}
 	return nil

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -82,8 +83,8 @@ func TestFigureMapMatchesValidFigs(t *testing.T) {
 }
 
 // TestCheckLinks pins -fault-link validation: names must be links of the
-// swept machine, and the first unknown name (in sorted order) is reported
-// in one exact line.
+// swept machine and scales must lie in (0, 1], and the first bad entry (in
+// sorted name order) is reported in one exact line.
 func TestCheckLinks(t *testing.T) {
 	type testcase struct {
 		machine        string
@@ -127,6 +128,32 @@ func TestCheckLinks(t *testing.T) {
 			machine:        "Dancer",
 			links:          map[string]float64{"mem0": 0.5, "zz": 0.5, "bus9": 0.5},
 			expectExactErr: `unknown -fault-link link "bus9" on machine Dancer`,
+		},
+		"scale-one": {machine: "Zoot", links: map[string]float64{"mem0": 1}},
+		"scale-zero": {
+			machine:        "Zoot",
+			links:          map[string]float64{"mem0": 0},
+			expectExactErr: `-fault-link scale for "mem0" must be in (0, 1], got 0`,
+		},
+		"scale-negative": {
+			machine:        "Zoot",
+			links:          map[string]float64{"mem0": -1},
+			expectExactErr: `-fault-link scale for "mem0" must be in (0, 1], got -1`,
+		},
+		"scale-above-one": {
+			machine:        "Zoot",
+			links:          map[string]float64{"mem0": 1.5},
+			expectExactErr: `-fault-link scale for "mem0" must be in (0, 1], got 1.5`,
+		},
+		"scale-nan": {
+			machine:        "Zoot",
+			links:          map[string]float64{"mem0": math.NaN()},
+			expectExactErr: `-fault-link scale for "mem0" must be in (0, 1], got NaN`,
+		},
+		"first-bad-sorted": {
+			machine:        "Dancer",
+			links:          map[string]float64{"qpi": 2, "mem0": 0.5, "cache0": 0},
+			expectExactErr: `-fault-link scale for "cache0" must be in (0, 1], got 0`,
 		},
 	}
 	for name, tc := range cases {

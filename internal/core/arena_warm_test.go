@@ -14,7 +14,7 @@ import (
 )
 
 // runCell builds a many-core bcast cell on the given shard and runs one
-// broadcast, mirroring the simbench bcast_cell_* scenarios.
+// broadcast, with the options of cmd/simbench's core/bcast_cell_* cells.
 func runCell(t testing.TB, m *topology.Machine, eng *sim.Engine, net *memsim.Net) sim.Time {
 	t.Helper()
 	now, _, err := mpi.Run(mpi.Options{

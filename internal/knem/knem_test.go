@@ -2,6 +2,7 @@ package knem
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -316,5 +317,62 @@ func TestWindowedReadProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOracleRootSerializedWriteBcast is the paper's §V cost of a
+// root-driven linear broadcast: one root core writes S bytes into k
+// pre-registered receiver regions with k sequential write-direction
+// copies, so each copy pays a kernel trap, the copy setup and S at the
+// slower of the root's copy engine and a memory bus, and the k copies
+// never overlap. The machine's interconnect links and cache ports are too
+// fast to bind, and each receiver sits on its own socket, so every copy
+// runs alone at min(CoreCopyBW, BusBW). The counterpart of memsim's
+// TestOracleReceiverReadCappedByRootBus, where receivers pull in parallel.
+func TestOracleRootSerializedWriteBcast(t *testing.T) {
+	const (
+		busBW = 16e9
+		size  = 1 << 20
+	)
+	for _, coreBW := range []float64{4e9, 32e9} { // engine-bound, bus-bound
+		for _, k := range []int{1, 2, 5, 12} {
+			spec := topology.Dancer().Spec
+			spec.CoreCopyBW = coreBW
+			m := topology.Synthetic(topology.SyntheticSpec{
+				Boards: 1, SocketsPerBoard: k + 1, CoresPerSocket: 1,
+				BusBW: busBW, LinkBW: 1e12,
+				CacheSize: 8 << 20, CachePortBW: 1e12,
+				Spec: spec,
+			})
+			e := sim.NewEngine()
+			n := memsim.New(e, m, nil)
+			mod := New(n)
+			src := n.Alloc(m.Domains[0], size, false)
+			var elapsed float64
+			run(t, e, func(p *sim.Proc) {
+				cookies := make([]Cookie, k)
+				for i := range cookies {
+					dst := n.Alloc(m.Domains[i+1], size, false)
+					c, err := mod.Create(p, i+1, []memsim.View{dst.Whole()}, DirWrite)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cookies[i] = c
+				}
+				t0 := p.Now()
+				for _, c := range cookies {
+					if err := mod.Copy(p, m.Cores[0], []memsim.View{src.Whole()}, c, 0, DirWrite); err != nil {
+						t.Fatal(err)
+					}
+				}
+				elapsed = p.Now() - t0
+			})
+			per := spec.KernelTrap + spec.CopySetup + size/min(coreBW, busBW)
+			want := float64(k) * per
+			if math.Abs(elapsed-want) > 1e-9*want {
+				t.Errorf("coreBW=%g k=%d: root-serialized bcast took %.12g s, want k·(trap+setup+S/min(coreBW,busBW)) = %.12g s",
+					coreBW, k, elapsed, want)
+			}
+		}
 	}
 }

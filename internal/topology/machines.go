@@ -176,7 +176,8 @@ func ByName(name string) *Machine {
 // hierarchical interconnect) with bandwidths scaled to a modern DDR4/IF
 // class part. The paper's largest platform is the 48-core IG; these
 // machines are the scale points the engine and sweep layers are gated on
-// (cmd/simbench scale cells, `make scale-smoke`).
+// (cmd/simbench's core/bcast_cell_128 and core/bcast_cell_512 cells,
+// `make scale-smoke`).
 func ManyCore(cores int) *Machine {
 	spec := Spec{
 		CoreCopyBW:  8 * gb,
