@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check test test-race vet fuzz-short bench bench-smoke bench-diff cluster-smoke scale-smoke simd-smoke figures table1 results results-check tune-smoke profile clean
+.PHONY: all check test test-race vet fuzz-short bench bench-smoke bench-diff cluster-smoke scale-smoke simd-smoke figures table1 results results-check tune-smoke perfbench-smoke profile clean
 
 all: test vet
 
@@ -30,10 +30,11 @@ bench:
 	$(GO) run ./cmd/simbench -o BENCH_sim.json
 
 # Regression gate: re-measure every simbench cell and fail if a gate its
-# cell defines fails: an allocation on a path pinned at 0 allocs/op, or a
+# cell defines fails: an allocation on a path pinned at 0 allocs/op, a
 # median more than 25% over the committed BENCH_sim.json on the
-# sim/park_wake and core/bcast_cell_512 ns/op or the cluster cells'
-# allocs/op. The fresh report lands in /tmp so the committed baseline stays
+# sim/park_wake and core/bcast_cell_512 ns/op or the warm cluster cells'
+# allocs/op, or a 10,240-rank cluster compile or memsim.New over its
+# absolute allocation ceiling. The fresh report lands in /tmp so the committed baseline stays
 # the comparison point; `make bench` rewrites the baseline deliberately.
 bench-smoke:
 	$(GO) test -bench=. -benchmem -benchtime=1x ./...
@@ -75,6 +76,18 @@ results-check:
 	cmp /tmp/results-check/table1.txt results/table1.txt
 	cmp /tmp/results-check/ablations.txt results/ablations.txt
 	cmp /tmp/results-check/scalability.txt results/scalability.txt
+
+# Benchmark smoke: run each perfbench workload (see BENCHMARK.json) for a
+# few seconds, untraced, and fail unless every cell it simulated matched the
+# pinned reference: its JSON result line must carry "correct":true and
+# "failed":0. The timings are not gated here; a full perfbench run at the
+# declared run_seconds is what compares them.
+perfbench-smoke:
+	for w in paper_sweep cluster_10k served_batch; do \
+		python3 perfbench/run.py --workload $$w --seed 1 --seconds 3 --trace 0 > /tmp/perfbench-smoke-$$w.json || exit 1; \
+		tail -n 1 /tmp/perfbench-smoke-$$w.json | grep '"correct":true' | grep -q '"failed":0,' \
+			|| { echo "perfbench-smoke: $$w: a cell failed: $$(tail -n 1 /tmp/perfbench-smoke-$$w.json)"; exit 1; }; \
+	done
 
 # Profile the simulator hot paths: the simbench trajectory (flow churn,
 # cache model, coroutine handoff) and a small uncached IMB sweep (the full

@@ -1,8 +1,9 @@
 // Command simbench records the simulator's micro-benchmarks as
 // BENCH_sim.json and gates them: ns/op, allocs/op and B/op of the hot paths
-// and of Broadcast cells from 8 to 512 ranks, and the warm re-run
-// allocations of 256-, 1,024- and 10,240-rank clusters, with three samples
-// and a median each. End-to-end timings belong to perfbench (BENCHMARK.json).
+// and of Broadcast cells from 8 to 512 ranks, the warm re-run allocations
+// of 256-, 1,024- and 10,240-rank clusters, and the cold compile and
+// memsim.New allocations of the 10,240-rank one, with three samples and a
+// median each. End-to-end timings belong to perfbench (BENCHMARK.json).
 //
 // Usage:
 //
@@ -121,6 +122,8 @@ func cells() []cell {
 		clusterCell("cluster/bcast_256", 8, dancerBox, 6e9, 1*bench.MiB),
 		clusterCell("cluster/bcast_1024", 16, manyCoreBox(8), 12e9, 1*bench.MiB),
 		clusterCell("cluster/bcast_10k", 80, manyCoreBox(16), 12e9, 64*bench.KiB),
+		compileCell("cluster/compile_10k", 80, manyCoreBox(16), 12e9),
+		netNewCell("cluster/net_new_10k", 80, manyCoreBox(16), 12e9),
 	}
 }
 
@@ -153,33 +156,86 @@ func benchCell(name, benchtime string, fn func(*testing.B), nsGate, allocGate *G
 	}
 }
 
+// allocsCell gates the heap-allocation count of one call of fn, made after
+// an unmeasured call of prepare, with gate.
+func allocsCell(name string, gate *Gate, prepare, fn func() error) cell {
+	return cell{
+		name:    name,
+		metrics: []Metric{{Name: name + "/allocs_per_op", Unit: "count", Gate: gate}},
+		sample: func() ([]float64, error) {
+			if err := prepare(); err != nil {
+				return nil, err
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			err := fn()
+			runtime.ReadMemStats(&after)
+			return []float64{float64(after.Mallocs - before.Mallocs)}, err
+		},
+	}
+}
+
 // clusterCell is one hierarchical broadcast of size bytes over nodes
 // copies of box. Its metric is the heap-allocation count of re-running the
 // cell on the measurement shard a first, unmeasured run built and warmed:
 // the arena's figure of merit at cluster scale.
 func clusterCell(name string, nodes int, box topology.SyntheticSpec, switchBW float64, size int64) cell {
 	var cfg *bench.Config
-	return cell{
-		name:    name,
-		metrics: []Metric{{Name: name + "/allocs_per_op", Unit: "count", Gate: within25}},
-		sample: func() ([]float64, error) {
-			if cfg == nil {
-				cl, err := syntheticCluster(nodes, box, switchBW)
-				if err != nil {
-					return nil, err
-				}
-				cfg = &bench.Config{Machine: cl.Global, Comp: bench.Hier(cl), Op: bench.OpBcast, Size: size, Iters: 1, OffCache: true}
-				if _, err := bench.Measure(*cfg); err != nil {
-					return nil, err
-				}
-			}
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			_, err := bench.Measure(*cfg)
-			runtime.ReadMemStats(&after)
-			return []float64{float64(after.Mallocs - before.Mallocs)}, err
-		},
+	prepare := func() error {
+		if cfg != nil {
+			return nil
+		}
+		cl, err := syntheticCluster(nodes, box, switchBW)
+		if err != nil {
+			return err
+		}
+		cfg = &bench.Config{Machine: cl.Global, Comp: bench.Hier(cl), Op: bench.OpBcast, Size: size, Iters: 1, OffCache: true}
+		_, err = bench.Measure(*cfg)
+		return err
 	}
+	return allocsCell(name, within25, prepare, func() error {
+		_, err := bench.Measure(*cfg)
+		return err
+	})
+}
+
+// The cold-path ceilings of the 10,240-rank shape (80 nodes of 128 cores):
+// about 1.5 times the allocations of compiling it and of building its
+// memory system from node templates (108k and 98k). Routing or interning a
+// path per vertex pair costs millions and fails them.
+var (
+	compileCeiling = &Gate{Kind: "max", Bound: 160_000}
+	netNewCeiling  = &Gate{Kind: "max", Bound: 150_000}
+)
+
+// compileCell compiles nodes copies of box: the cluster's cold set-up.
+func compileCell(name string, nodes int, box topology.SyntheticSpec, switchBW float64) cell {
+	return allocsCell(name, compileCeiling, func() error { return nil }, func() error {
+		_, err := syntheticCluster(nodes, box, switchBW)
+		return err
+	})
+}
+
+// netNewCell builds the memory system of a cluster of nodes copies of box,
+// compiled once beforehand, on a fresh engine.
+func netNewCell(name string, nodes int, box topology.SyntheticSpec, switchBW float64) cell {
+	var m *topology.Machine
+	var eng *sim.Engine
+	prepare := func() error {
+		eng = sim.NewEngine()
+		if m != nil {
+			return nil
+		}
+		cl, err := syntheticCluster(nodes, box, switchBW)
+		if err == nil {
+			m = cl.Global
+		}
+		return err
+	}
+	return allocsCell(name, netNewCeiling, prepare, func() error {
+		memsim.New(eng, m, nil)
+		return nil
+	})
 }
 
 // syntheticCluster compiles nodes copies of box behind one top-of-rack

@@ -44,6 +44,8 @@ func TestGateTable(t *testing.T) {
 		"cluster/bcast_256/allocs_per_op":       {"rel", 0.25},
 		"cluster/bcast_1024/allocs_per_op":      {"rel", 0.25},
 		"cluster/bcast_10k/allocs_per_op":       {"rel", 0.25},
+		"cluster/compile_10k/allocs_per_op":     {"max", 160_000},
+		"cluster/net_new_10k/allocs_per_op":     {"max", 150_000},
 	}
 	got := map[string]Gate{}
 	for _, c := range cells() {
@@ -123,6 +125,10 @@ func TestCheck(t *testing.T) {
 		"cluster-allocs-plus-26": {
 			edit:           func(cur, _ *Report) { set(cur, "cluster/bcast_10k/allocs_per_op", 1260) },
 			expectExactErr: "cluster/bcast_10k/allocs_per_op: median 1260 is +26.0% over baseline 1000 (allowed +25%)",
+		},
+		"cold-path-over-ceiling": {
+			edit:           func(cur, _ *Report) { set(cur, "cluster/net_new_10k/allocs_per_op", 3.3e6) },
+			expectExactErr: "cluster/net_new_10k/allocs_per_op: sample 3.3e+06 over max 1.5e+05",
 		},
 		"ungated-metric-regresses": {
 			edit: func(cur, _ *Report) { set(cur, "sim/park_wake/bytes_per_op", 1e9) },

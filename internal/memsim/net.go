@@ -80,13 +80,9 @@ type Net struct {
 	pendPool []*Pending        // recycled copy handles (blocking Copy only)
 	bufSlab  *sim.Slab[Buffer] // arena-backed Alloc; survives Reset
 
-	// Interned routes: routeDom[vertex][domainID] and
-	// routeGroup[vertex][groupID] hold the PathToDomain/PathToGroup results
-	// for every core vertex, computed once in New so startCopy never
-	// rebuilds a link path. The slices are shared and must never be
-	// mutated.
-	routeDom   [][][]*topology.Link
-	routeGroup [][][]*topology.Link
+	// routes interns every core-vertex route to a domain's DRAM or a cache
+	// group's port once in New (routes.go).
+	routes routeTable
 
 	// linkNames is the dense link-name table handed to every stats sink
 	// (SetLinkNames), built once in New and reused by Reset.
@@ -164,29 +160,7 @@ func New(eng *sim.Engine, m *topology.Machine, stats *trace.Stats) *Net {
 	for _, g := range m.Groups {
 		n.caches = append(n.caches, newGroupCache(g, &entryPool{}))
 	}
-	nv := 0
-	for _, c := range m.Cores {
-		if c.Vertex+1 > nv {
-			nv = c.Vertex + 1
-		}
-	}
-	n.routeDom = make([][][]*topology.Link, nv)
-	n.routeGroup = make([][][]*topology.Link, nv)
-	for _, c := range m.Cores {
-		if n.routeDom[c.Vertex] != nil {
-			continue
-		}
-		rd := make([][]*topology.Link, len(m.Domains))
-		for _, d := range m.Domains {
-			rd[d.ID] = m.PathToDomain(c, d)
-		}
-		rg := make([][]*topology.Link, len(m.Groups))
-		for _, g := range m.Groups {
-			rg[g.ID] = m.PathToGroup(c, g)
-		}
-		n.routeDom[c.Vertex] = rd
-		n.routeGroup[c.Vertex] = rg
-	}
+	n.routes = newRouteTable(m)
 	nl := len(m.Links)
 	n.allocLinkTables(nl)
 	n.onCompletionFn = n.onCompletion
@@ -427,23 +401,15 @@ func (n *Net) startCopy(engine *topology.Link, core *topology.Core, dst, src Vie
 	if core != nil {
 		if g := n.findCached(core, src); g != nil {
 			cacheHit = true
-			for _, l := range n.routeGroup[core.Vertex][g.ID] {
-				n.useLink(l)
-			}
+			n.useRoute(core.Vertex, n.routes.group(g))
 		} else if g := n.dirtyOwner(core, src); g != nil {
-			for _, l := range n.routeGroup[core.Vertex][g.ID] {
-				n.useLink(l)
-			}
+			n.useRoute(core.Vertex, n.routes.group(g))
 			n.useLink(src.Buf.Domain.Bus) // write-back to home memory
 		} else {
-			for _, l := range n.routeDom[reader.Vertex][src.Buf.Domain.ID] {
-				n.useLink(l)
-			}
+			n.useRoute(reader.Vertex, n.routes.domain(src.Buf.Domain))
 		}
 	} else {
-		for _, l := range n.routeDom[reader.Vertex][src.Buf.Domain.ID] {
-			n.useLink(l)
-		}
+		n.useRoute(reader.Vertex, n.routes.domain(src.Buf.Domain))
 	}
 	// Write side: a destination already resident in the executing core's
 	// cache absorbs the write at port speed (write hit; it turns dirty
@@ -455,9 +421,7 @@ func (n *Net) startCopy(engine *topology.Link, core *topology.Core, dst, src Vie
 		n.useLink(core.Group.Port)
 	}
 	if !writeHit {
-		for _, l := range n.routeDom[reader.Vertex][dst.Buf.Domain.ID] {
-			n.useLink(l)
-		}
+		n.useRoute(reader.Vertex, n.routes.domain(dst.Buf.Domain))
 	}
 
 	f := n.newFlow()

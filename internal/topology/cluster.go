@@ -127,14 +127,19 @@ func CompileCluster(cfg ClusterConfig, resolve MachineResolver) (*Cluster, error
 	}
 	index := make(map[string]int, len(cfg.Nodes))
 	machines := make([]*Machine, len(cfg.Nodes))
+	resolved := make(map[string]*Machine) // each reference resolves once
 	for i, ns := range cfg.Nodes {
 		if _, dup := index[ns.Name]; dup {
 			return nil, fmt.Errorf("cluster %s: duplicate node %q", cfg.Name, ns.Name)
 		}
 		index[ns.Name] = i
-		m, err := resolve(ns.Machine)
-		if err != nil {
-			return nil, fmt.Errorf("cluster %s: node %q: machine %q: %v", cfg.Name, ns.Name, ns.Machine, err)
+		m := resolved[ns.Machine]
+		if m == nil {
+			var err error
+			if m, err = resolve(ns.Machine); err != nil {
+				return nil, fmt.Errorf("cluster %s: node %q: machine %q: %v", cfg.Name, ns.Name, ns.Machine, err)
+			}
+			resolved[ns.Machine] = m
 		}
 		machines[i] = m
 		if m.Spec != machines[0].Spec {
@@ -179,8 +184,8 @@ func CompileCluster(cfg ClusterConfig, resolve MachineResolver) (*Cluster, error
 		}
 	}
 
-	// The fabric must reach every node before Build routes the composite
-	// graph (an unreachable vertex would panic deep in route()).
+	// The fabric must reach every node before the composite is routed (an
+	// unreachable vertex would panic deep in routeAll).
 	if cfg.Switch == nil {
 		reach := make([]bool, len(cfg.Nodes))
 		reach[0] = true
@@ -206,39 +211,33 @@ func CompileCluster(cfg ClusterConfig, resolve MachineResolver) (*Cluster, error
 
 	// Replicate every node machine into one composite builder: vertices,
 	// interconnect links (node-prefixed names), domains (boards offset per
-	// node so Boards() stays meaningful), cache groups, cores.
+	// node so Boards() stays meaningful), cache groups, cores. Each
+	// distinct node machine is also replicated once on its own and routed
+	// as the template every route inside and between its nodes is composed
+	// from (routes.go).
 	b := NewBuilder("cluster:"+cfg.Name, machines[0].Spec)
 	cl := &Cluster{Name: cfg.Name, Config: cfg, SwitchVertex: -1}
+	cr := &clusterRoutes{}
+	templates := make(map[*Machine]*Machine)
 	gw := make([]int, len(cfg.Nodes))
 	boardBase := 0
 	nCores, nDomains := 0, 0
 	for i, ns := range cfg.Nodes {
 		m := machines[i]
+		tmpl := templates[m]
+		if tmpl == nil {
+			tb := NewBuilder(m.Name, m.Spec)
+			replicate(tb, m, "", 0)
+			tmpl = tb.Build()
+			templates[m] = tmpl
+		}
 		firstLink, firstGroup := len(b.m.Links), len(b.m.Groups)
-		vmap := make([]int, m.NVerts())
-		for v := range vmap {
-			vmap[v] = b.Vertex(fmt.Sprintf("%s/v%d", ns.Name, v))
-		}
-		for _, e := range m.Edges() {
-			b.ConnectLat(vmap[e.U], vmap[e.V], ns.Name+"/"+e.Link.Name, e.Link.BW, e.Link.Lat)
-		}
-		doms := make([]*MemDomain, len(m.Domains))
-		for di, d := range m.Domains {
-			doms[di] = b.DomainOnBoard(vmap[d.Vertex], d.Bus.BW, boardBase+d.Board)
-		}
-		grps := make([]*CacheGroup, len(m.Groups))
-		for gi, g := range m.Groups {
-			grps[gi] = b.Group(vmap[g.Vertex], g.Size, g.Port.BW)
-		}
-		for _, c := range m.Cores {
-			var g *CacheGroup
-			if c.Group != nil {
-				g = grps[c.Group.ID]
-			}
-			b.Core(vmap[c.Vertex], doms[c.Domain.ID], g)
+		firstVert := replicate(b, m, ns.Name+"/", boardBase)
+		for range m.NCores() {
 			cl.nodeOfCore = append(cl.nodeOfCore, i)
 		}
-		gw[i] = vmap[m.Domains[0].Vertex]
+		gw[i] = firstVert + m.Domains[0].Vertex
+		cr.nodes = append(cr.nodes, nodeRoutes{tmpl: tmpl, firstVert: firstVert, firstLink: firstLink, gw: m.Domains[0].Vertex})
 		cl.Nodes = append(cl.Nodes, &ClusterNode{
 			Name:        ns.Name,
 			Index:       i,
@@ -267,6 +266,39 @@ func CompileCluster(cfg ClusterConfig, resolve MachineResolver) (*Cluster, error
 	for _, l := range cfg.Links {
 		b.ConnectLat(gw[index[l.A]], gw[index[l.B]], "fabric/"+l.Name, l.BW, l.Lat)
 	}
-	cl.Global = b.Build()
+	cl.Global = b.finish()
+	cr.index(cl.Global, cl.SwitchVertex)
+	cl.Global.cr = cr
 	return cl, nil
+}
+
+// replicate adds machine m's vertices, interconnect edges (in Edges()
+// order), domains (boards offset by boardBase), cache groups and cores to
+// b, naming vertices and edges under prefix, and returns the vertex m's
+// vertex 0 became. Template and composite both come from here, so their
+// links, vertices and adjacency orders line up index for index.
+func replicate(b *Builder, m *Machine, prefix string, boardBase int) int {
+	firstVert := b.m.nVerts
+	for v := range m.NVerts() {
+		b.Vertex(fmt.Sprintf("%sv%d", prefix, v))
+	}
+	for _, e := range m.Edges() {
+		b.ConnectLat(firstVert+e.U, firstVert+e.V, prefix+e.Link.Name, e.Link.BW, e.Link.Lat)
+	}
+	doms := make([]*MemDomain, len(m.Domains))
+	for di, d := range m.Domains {
+		doms[di] = b.DomainOnBoard(firstVert+d.Vertex, d.Bus.BW, boardBase+d.Board)
+	}
+	grps := make([]*CacheGroup, len(m.Groups))
+	for gi, g := range m.Groups {
+		grps[gi] = b.Group(firstVert+g.Vertex, g.Size, g.Port.BW)
+	}
+	for _, c := range m.Cores {
+		var g *CacheGroup
+		if c.Group != nil {
+			g = grps[c.Group.ID]
+		}
+		b.Core(firstVert+c.Vertex, doms[c.Domain.ID], g)
+	}
+	return firstVert
 }

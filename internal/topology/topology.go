@@ -17,6 +17,7 @@ package topology
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Link is a capacitated resource (a bus, interconnect hop, cache port, core
@@ -107,10 +108,16 @@ type Machine struct {
 
 	nVerts int
 	adj    [][]edge // adjacency by vertex
-	paths  [][][]*Link
-	hops   [][]int
-	hasLat bool        // any interconnect link with nonzero latency
-	lats   [][]float64 // per vertex pair: summed link latency along the route
+	hasLat bool     // any interconnect link with nonzero latency
+
+	// Routes. A single machine routes every vertex pair in Build and keeps
+	// the tables; lats holds the summed link latency along each route. A
+	// composite cluster machine keeps no table of size V² and composes each
+	// route from its node templates and fabric instead (cr, routes.go).
+	paths [][][]*Link
+	hops  [][]int
+	lats  [][]float64
+	cr    *clusterRoutes
 }
 
 type edge struct {
@@ -207,6 +214,16 @@ func (b *Builder) Core(vertex int, d *MemDomain, g *CacheGroup) *Core {
 // model. It panics on malformed descriptions (disconnected graphs, domains
 // without cores).
 func (b *Builder) Build() *Machine {
+	m := b.finish()
+	m.paths, m.hops = routeAll(m.Name, m.adj)
+	if m.hasLat {
+		m.lats = pathLats(m.paths)
+	}
+	return m
+}
+
+// finish validates the machine and returns it unrouted.
+func (b *Builder) finish() *Machine {
 	m := b.m
 	for len(m.adj) < m.nVerts {
 		m.adj = append(m.adj, nil)
@@ -219,16 +236,17 @@ func (b *Builder) Build() *Machine {
 			panic(fmt.Sprintf("topology: domain %d has no cores", d.ID))
 		}
 	}
-	m.route()
+	m.hasLat = slices.ContainsFunc(m.Links, func(l *Link) bool { return l.Lat != 0 })
 	return m
 }
 
-// route computes shortest paths between all vertex pairs (BFS per source,
-// deterministic neighbor order).
-func (m *Machine) route() {
-	n := m.nVerts
-	m.paths = make([][][]*Link, n)
-	m.hops = make([][]int, n)
+// routeAll computes shortest paths between all vertex pairs of the graph
+// adj (BFS per source, deterministic neighbor order) and their hop counts.
+// It panics, naming the graph name, if some vertex is unreachable.
+func routeAll(name string, adj [][]edge) ([][][]*Link, [][]int) {
+	n := len(adj)
+	paths := make([][][]*Link, n)
+	hops := make([][]int, n)
 	for s := 0; s < n; s++ {
 		prevEdge := make([]edge, n)
 		dist := make([]int, n)
@@ -240,7 +258,7 @@ func (m *Machine) route() {
 		for len(queue) > 0 {
 			u := queue[0]
 			queue = queue[1:]
-			for _, e := range m.adj[u] {
+			for _, e := range adj[u] {
 				if dist[e.to] == -1 {
 					dist[e.to] = dist[u] + 1
 					prevEdge[e.to] = edge{to: u, link: e.link}
@@ -248,41 +266,37 @@ func (m *Machine) route() {
 				}
 			}
 		}
-		m.paths[s] = make([][]*Link, n)
-		m.hops[s] = dist
+		paths[s] = make([][]*Link, n)
+		hops[s] = dist
 		for t := 0; t < n; t++ {
 			if dist[t] < 0 {
-				panic(fmt.Sprintf("topology: %s: vertex %d unreachable from %d", m.Name, t, s))
+				panic(fmt.Sprintf("topology: %s: vertex %d unreachable from %d", name, t, s))
 			}
 			var rev []*Link
 			for v := t; v != s; v = prevEdge[v].to {
 				rev = append(rev, prevEdge[v].link)
 			}
-			for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-				rev[i], rev[j] = rev[j], rev[i]
+			slices.Reverse(rev)
+			paths[s][t] = rev
+		}
+	}
+	return paths, hops
+}
+
+// pathLats sums the link latencies along every path, in path order.
+func pathLats(paths [][][]*Link) [][]float64 {
+	lats := make([][]float64, len(paths))
+	for s, row := range paths {
+		lats[s] = make([]float64, len(row))
+		for t, p := range row {
+			var sum float64
+			for _, l := range p {
+				sum += l.Lat
 			}
-			m.paths[s][t] = rev
+			lats[s][t] = sum
 		}
 	}
-	for _, l := range m.Links {
-		if l.Lat != 0 {
-			m.hasLat = true
-			break
-		}
-	}
-	if m.hasLat {
-		m.lats = make([][]float64, n)
-		for s := 0; s < n; s++ {
-			m.lats[s] = make([]float64, n)
-			for t := 0; t < n; t++ {
-				var sum float64
-				for _, l := range m.paths[s][t] {
-					sum += l.Lat
-				}
-				m.lats[s][t] = sum
-			}
-		}
-	}
+	return lats
 }
 
 // HasLatency reports whether any interconnect link carries a nonzero
@@ -293,8 +307,11 @@ func (m *Machine) HasLatency() bool { return m.hasLat }
 // PathLatency returns the summed link latency along the route between two
 // vertices (zero on machines without latencied links).
 func (m *Machine) PathLatency(u, v int) float64 {
-	if !m.hasLat {
+	switch {
+	case !m.hasLat:
 		return 0
+	case m.cr != nil:
+		return m.cr.latency(m.Links, u, v)
 	}
 	return m.lats[u][v]
 }
@@ -329,40 +346,65 @@ func (m *Machine) Edges() []Edge {
 	return out
 }
 
-// VertexPath returns the interconnect links between two vertices.
-func (m *Machine) VertexPath(u, v int) []*Link { return m.paths[u][v] }
+// VertexPath returns the interconnect links between two vertices. On a
+// single machine the slice is shared and must not be mutated; on a
+// composite cluster machine each call builds a new one.
+func (m *Machine) VertexPath(u, v int) []*Link {
+	if m.cr != nil {
+		return m.cr.appendPath(nil, m.Links, u, v)
+	}
+	return m.paths[u][v]
+}
 
 // Hops returns the hop count between two vertices.
-func (m *Machine) Hops(u, v int) int { return m.hops[u][v] }
+func (m *Machine) Hops(u, v int) int {
+	if m.cr != nil {
+		return m.cr.hops(u, v)
+	}
+	return m.hops[u][v]
+}
+
+// RouteNode reports how routes reach vertex v. On a composite cluster
+// machine it returns the node holding v and that node's gateway vertex: a
+// route between vertices u and v of different nodes, with gateways gu and
+// gv, is VertexPath(u, gu), then VertexPath(gu, gv), then
+// VertexPath(gv, v). The fabric switch belongs to no node: (-1, -1). A
+// single machine is one node without a gateway: (0, -1).
+func (m *Machine) RouteNode(v int) (node, gateway int) {
+	if m.cr != nil {
+		return m.cr.routeNode(v)
+	}
+	return 0, -1
+}
 
 // PathToDomain returns the links a core traverses to reach a domain's DRAM:
 // the interconnect hops plus the domain's memory bus. The core's own copy
 // engine is not included.
 func (m *Machine) PathToDomain(c *Core, d *MemDomain) []*Link {
-	p := m.paths[c.Vertex][d.Vertex]
-	out := make([]*Link, 0, len(p)+1)
-	out = append(out, p...)
-	out = append(out, d.Bus)
-	return out
+	return m.pathTo(c.Vertex, d.Vertex, d.Bus)
 }
 
 // PathToGroup returns the links a core traverses to read from a cache
 // group: the interconnect hops plus the group's port.
 func (m *Machine) PathToGroup(c *Core, g *CacheGroup) []*Link {
-	p := m.paths[c.Vertex][g.Vertex]
-	out := make([]*Link, 0, len(p)+1)
-	out = append(out, p...)
-	out = append(out, g.Port)
-	return out
+	return m.pathTo(c.Vertex, g.Vertex, g.Port)
+}
+
+// pathTo returns a new slice holding the route from u to v followed by last.
+func (m *Machine) pathTo(u, v int, last *Link) []*Link {
+	p := m.VertexPath(u, v)
+	out := make([]*Link, len(p), len(p)+1)
+	copy(out, p)
+	return append(out, last)
 }
 
 // CoreDistance returns the hop distance between two cores' vertices. Cores
 // in the same domain are distance 0 from each other in NUMA terms even if
 // on different cache groups.
-func (m *Machine) CoreDistance(a, b *Core) int { return m.hops[a.Vertex][b.Vertex] }
+func (m *Machine) CoreDistance(a, b *Core) int { return m.Hops(a.Vertex, b.Vertex) }
 
 // DomainDistance returns the hop distance between two domains.
-func (m *Machine) DomainDistance(a, b *MemDomain) int { return m.hops[a.Vertex][b.Vertex] }
+func (m *Machine) DomainDistance(a, b *MemDomain) int { return m.Hops(a.Vertex, b.Vertex) }
 
 // NCores returns the number of cores.
 func (m *Machine) NCores() int { return len(m.Cores) }
@@ -384,7 +426,7 @@ func (m *Machine) MaxDomainDistance() int {
 	max := 0
 	for _, a := range m.Domains {
 		for _, b := range m.Domains {
-			if h := m.hops[a.Vertex][b.Vertex]; h > max {
+			if h := m.Hops(a.Vertex, b.Vertex); h > max {
 				max = h
 			}
 		}
@@ -415,7 +457,8 @@ func (m *Machine) PackedMapping(np int) []int {
 }
 
 // ScatterMapping distributes np ranks round-robin over the machine's
-// domains, spreading memory pressure across all controllers.
+// domains, spreading memory pressure across all controllers. Once a domain
+// runs out of cores, the remaining ranks take the unused cores in ID order.
 func (m *Machine) ScatterMapping(np int) []int {
 	out := make([]int, 0, np)
 	next := make([]int, len(m.Domains))
@@ -423,14 +466,12 @@ func (m *Machine) ScatterMapping(np int) []int {
 		d := len(out) % len(m.Domains)
 		if next[d] >= len(m.Domains[d].Cores) {
 			// This domain is full; fall back to packed for the rest.
+			used := make([]bool, m.NCores())
+			for _, id := range out {
+				used[id] = true
+			}
 			for c := 0; len(out) < np && c < m.NCores(); c++ {
-				used := false
-				for _, id := range out {
-					if id == c {
-						used = true
-					}
-				}
-				if !used {
+				if !used[c] {
 					out = append(out, c)
 				}
 			}
