@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check test test-race vet fuzz-short bench bench-smoke bench-diff cluster-smoke scale-smoke simd-smoke figures table1 results results-check tune-smoke perfbench-smoke profile clean
+.PHONY: all check test test-race test-shuffle vet fuzz-short bench bench-smoke bench-diff cluster-smoke scale-smoke simd-smoke figures table1 results results-check tune-smoke perfbench-smoke profile clean
 
 all: test vet
 
@@ -11,6 +11,11 @@ test:
 
 test-race:
 	$(GO) test -race ./...
+
+# Test-order guard: run the harness packages three times in shuffled
+# order, so a test that leans on state another test left behind fails.
+test-shuffle:
+	$(GO) test -count=3 -shuffle=on ./internal/bench ./internal/serve ./internal/tune/search
 
 vet:
 	$(GO) vet ./...

@@ -34,7 +34,7 @@ func benchOp(b *testing.B, op bench.Op, sizes []int64) {
 				b.Run(name, func(b *testing.B) {
 					var sim float64
 					for i := 0; i < b.N; i++ {
-						res := bench.MustMeasure(bench.Config{
+						res := bench.Default.MustMeasure(bench.Config{
 							Machine: m, Comp: c, Op: op, Size: sz, Iters: 1, OffCache: true,
 						})
 						sim = res.Seconds
@@ -71,7 +71,7 @@ func BenchmarkFig4(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/%s", c.Name, sizeLabel(sz)), func(b *testing.B) {
 				var sim float64
 				for i := 0; i < b.N; i++ {
-					res := bench.MustMeasure(bench.Config{
+					res := bench.Default.MustMeasure(bench.Config{
 						Machine: m, Comp: c, Op: bench.OpBcast, Size: sz, Iters: 1, OffCache: true,
 					})
 					sim = res.Seconds
@@ -117,7 +117,7 @@ func BenchmarkTable1(b *testing.B) {
 		b.Run(job.m.Name, func(b *testing.B) {
 			var res bench.Table1Result
 			for i := 0; i < b.N; i++ {
-				res = bench.RunTable1(job.m, job.n, 48)
+				res = bench.Default.RunTable1(job.m, job.n, 48)
 			}
 			knem := res.Rows[len(res.Rows)-1]
 			b.ReportMetric(knem.Bcast, "sim_bcast_s")
@@ -139,7 +139,7 @@ func BenchmarkRingAllgatherAblation(b *testing.B) {
 		b.Run(c.Name, func(b *testing.B) {
 			var sim float64
 			for i := 0; i < b.N; i++ {
-				res := bench.MustMeasure(bench.Config{
+				res := bench.Default.MustMeasure(bench.Config{
 					Machine: m, Comp: c, Op: bench.OpAllgather, Size: 256 << 10, Iters: 1, OffCache: true,
 				})
 				sim = res.Seconds
@@ -158,7 +158,7 @@ func BenchmarkScalability(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/np%d", c.Name, np), func(b *testing.B) {
 				var sim float64
 				for i := 0; i < b.N; i++ {
-					res := bench.MustMeasure(bench.Config{
+					res := bench.Default.MustMeasure(bench.Config{
 						Machine: m, NP: np, Comp: c, Op: bench.OpBcast,
 						Size: 1 << 20, Iters: 1, OffCache: true,
 					})

@@ -32,7 +32,8 @@ func main() {
 	noCache := flag.Bool("no-cache", false, "disable run memoization: re-simulate every cell")
 	cacheDir := flag.String("cache-dir", "", "persistent simulation cache directory (default: the user cache dir)")
 	flag.Parse()
-	bench.SetParallel(*parallel)
+	run := bench.NewRunner()
+	run.SetParallel(*parallel)
 
 	if *verify {
 		runVerify(*n)
@@ -40,7 +41,7 @@ func main() {
 	}
 	// Verification runs are real-data checks and never cached; the Table I
 	// application cells below are deterministic and memoize like any sweep.
-	cached, err := bench.EnableDefaultCache("asp", *noCache, *cacheDir)
+	cached, err := run.EnableDefaultCache("asp", *noCache, *cacheDir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "asp:", err)
 		os.Exit(1)
@@ -69,11 +70,11 @@ func main() {
 		jobs = []job{{m, dim}}
 	}
 	for _, j := range jobs {
-		bench.RunTable1(j.m, j.n, *sample).Render(os.Stdout)
+		run.RunTable1(j.m, j.n, *sample).Render(os.Stdout)
 		fmt.Println()
 	}
 	if cached {
-		bench.ReportCacheCounts("asp")
+		run.ReportCacheCounts("asp")
 	}
 }
 

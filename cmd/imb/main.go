@@ -12,9 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
-	"maps"
 	"os"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -25,7 +23,11 @@ import (
 	"repro/internal/tune"
 )
 
-var jsonOut bool
+var (
+	jsonOut bool
+	// run measures every cell of this invocation.
+	run = bench.NewRunner()
+)
 
 // validOps are the operations runSweep and -scalability accept, and
 // validFigs the arguments -fig accepts; both lists back the one-line
@@ -47,7 +49,7 @@ func checkChoice(flagName, val string, valid []string) error {
 }
 
 // loadDecisions installs tuned decision tables (comma-separated paths,
-// written by `tune search`) as the process-wide decision set: any measured
+// written by `tune search`) as the runner's decision set: any measured
 // machine whose fingerprint matches a table runs under its decisions.
 func loadDecisions(paths string) error {
 	set := tune.NewSet()
@@ -58,7 +60,7 @@ func loadDecisions(paths string) error {
 		}
 		set.Add(t)
 	}
-	bench.SetDecisions(set)
+	run.SetDecisions(set)
 	return nil
 }
 
@@ -89,8 +91,8 @@ func main() {
 	memProfile := flag.String("memprofile", "", "write an allocation profile to this file at exit")
 	flag.Parse()
 	jsonOut = *asJSON
-	bench.SetParallel(*parallel)
-	cached, err := bench.EnableDefaultCache("imb", *noCache, *cacheDir)
+	run.SetParallel(*parallel)
+	cached, err := run.EnableDefaultCache("imb", *noCache, *cacheDir)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "imb:", err)
 		os.Exit(1)
@@ -123,7 +125,7 @@ func main() {
 
 	switch {
 	case *ablation:
-		bench.RenderAblations(os.Stdout, bench.RunAblations(*iters))
+		bench.RenderAblations(os.Stdout, run.RunAblations(*iters))
 	case *scal:
 		runScalability(*op, *machine, *sizes, *iters)
 	case *fig != "":
@@ -138,7 +140,7 @@ func main() {
 		os.Exit(2)
 	}
 	if cached {
-		bench.ReportCacheCounts("imb")
+		run.ReportCacheCounts("imb")
 	}
 }
 
@@ -181,29 +183,6 @@ func buildPlan(seed int64, createEvery int, pinBudget int64, invalEvery int, cop
 	return p
 }
 
-// checkLinks rejects -fault-link names that are not links of m, and scales
-// outside (0, 1], so a misspelt name or a scale fault.Injector would ignore
-// fails the run instead of leaving it undegraded. Names are checked in
-// sorted order, so the error is deterministic.
-func checkLinks(plan *fault.Plan, m *topology.Machine) error {
-	if plan == nil || len(plan.LinkSlowdown) == 0 {
-		return nil
-	}
-	known := make(map[string]bool, len(m.Links))
-	for _, l := range m.Links {
-		known[l.Name] = true
-	}
-	for _, name := range slices.Sorted(maps.Keys(plan.LinkSlowdown)) {
-		if !known[name] {
-			return fmt.Errorf("unknown -fault-link link %q on machine %s", name, m.Name)
-		}
-		if s := plan.LinkSlowdown[name]; !(s > 0 && s <= 1) {
-			return fmt.Errorf("-fault-link scale for %q must be in (0, 1], got %g", name, s)
-		}
-	}
-	return nil
-}
-
 func splitNonEmpty(s string) []string {
 	if s == "" {
 		return nil
@@ -228,12 +207,12 @@ func parsePair(kv, what string) (int64, float64) {
 
 func runFigures(which string, iters int) {
 	figs := map[string]func(int) bench.Figure{
-		"4":       bench.Fig4,
-		"5":       bench.Fig5,
-		"6":       bench.Fig6,
-		"7":       bench.Fig7,
-		"8":       bench.Fig8,
-		"scatter": bench.ScatterFigure,
+		"4":       run.Fig4,
+		"5":       run.Fig5,
+		"6":       run.Fig6,
+		"7":       run.Fig7,
+		"8":       run.Fig8,
+		"scatter": run.ScatterFigure,
 	}
 	emit := func(f bench.Figure) {
 		if jsonOut {
@@ -277,8 +256,8 @@ func runSweep(op, machine, cluster string, np int, sizeList string, iters int, c
 			os.Exit(2)
 		}
 	}
-	if err := checkLinks(plan, m); err != nil {
-		fmt.Fprintln(os.Stderr, "imb:", err)
+	if err := plan.CheckLinks(m); err != nil {
+		fmt.Fprintln(os.Stderr, "imb: -fault-link:", err)
 		os.Exit(2)
 	}
 	if np == 0 {
@@ -311,7 +290,7 @@ func runSweep(op, machine, cluster string, np int, sizeList string, iters int, c
 			})
 		}
 	}
-	results := bench.MeasureAll(cfgs)
+	results := run.MeasureAll(cfgs)
 	for i, c := range comps {
 		s := bench.Series{Label: c.Name, Seconds: map[int64]float64{}}
 		for j, sz := range szs {
@@ -363,7 +342,7 @@ func runScalability(op, machine, sizeList string, iters int) {
 		ranks = append(ranks, np)
 	}
 	ranks = append(ranks, m.NCores())
-	s := bench.RunScalability(m, bench.Op(op), size, ranks,
+	s := run.RunScalability(m, bench.Op(op), size, ranks,
 		[]bench.Comp{bench.TunedSM(), bench.TunedKNEM(), bench.KNEMColl()}, iters)
 	s.Render(os.Stdout)
 }

@@ -1,12 +1,8 @@
 package main
 
 import (
-	"math"
 	"strings"
 	"testing"
-
-	"repro/internal/fault"
-	"repro/internal/topology"
 )
 
 // TestFlagValidation pins the closed-set validation for -op and -fig: every
@@ -79,84 +75,5 @@ func TestFigureMapMatchesValidFigs(t *testing.T) {
 	}
 	if err := checkChoice("-op", "bcast", validOps); err != nil {
 		t.Fatalf("bcast rejected: %v", err)
-	}
-}
-
-// TestCheckLinks pins -fault-link validation: names must be links of the
-// swept machine and scales must lie in (0, 1], and the first bad entry (in
-// sorted name order) is reported in one exact line.
-func TestCheckLinks(t *testing.T) {
-	type testcase struct {
-		machine        string
-		links          map[string]float64
-		expectExactErr string
-	}
-
-	run := func(t *testing.T, tc testcase) {
-		var plan *fault.Plan
-		if tc.links != nil {
-			plan = &fault.Plan{LinkSlowdown: tc.links}
-		}
-		err := checkLinks(plan, topology.ByName(tc.machine))
-		if tc.expectExactErr == "" {
-			if err != nil {
-				t.Fatalf("checkLinks = %v, want accepted", err)
-			}
-			return
-		}
-		if err == nil || err.Error() != tc.expectExactErr {
-			t.Fatalf("checkLinks error = %v, want %q", err, tc.expectExactErr)
-		}
-	}
-
-	cases := map[string]testcase{
-		"no-plan":         {machine: "Zoot"},
-		"known-memory":    {machine: "Zoot", links: map[string]float64{"mem0": 0.5}},
-		"known-repeated":  {machine: "Zoot", links: map[string]float64{"fsb": 0.5, "cache3": 0.25}},
-		"known-interconn": {machine: "Dancer", links: map[string]float64{"qpi": 0.5, "mem1": 0.5}},
-		"unknown": {
-			machine:        "Zoot",
-			links:          map[string]float64{"bus0": 0.5},
-			expectExactErr: `unknown -fault-link link "bus0" on machine Zoot`,
-		},
-		"other-machine-link": {
-			machine:        "Zoot",
-			links:          map[string]float64{"qpi": 0.5},
-			expectExactErr: `unknown -fault-link link "qpi" on machine Zoot`,
-		},
-		"first-unknown-sorted": {
-			machine:        "Dancer",
-			links:          map[string]float64{"mem0": 0.5, "zz": 0.5, "bus9": 0.5},
-			expectExactErr: `unknown -fault-link link "bus9" on machine Dancer`,
-		},
-		"scale-one": {machine: "Zoot", links: map[string]float64{"mem0": 1}},
-		"scale-zero": {
-			machine:        "Zoot",
-			links:          map[string]float64{"mem0": 0},
-			expectExactErr: `-fault-link scale for "mem0" must be in (0, 1], got 0`,
-		},
-		"scale-negative": {
-			machine:        "Zoot",
-			links:          map[string]float64{"mem0": -1},
-			expectExactErr: `-fault-link scale for "mem0" must be in (0, 1], got -1`,
-		},
-		"scale-above-one": {
-			machine:        "Zoot",
-			links:          map[string]float64{"mem0": 1.5},
-			expectExactErr: `-fault-link scale for "mem0" must be in (0, 1], got 1.5`,
-		},
-		"scale-nan": {
-			machine:        "Zoot",
-			links:          map[string]float64{"mem0": math.NaN()},
-			expectExactErr: `-fault-link scale for "mem0" must be in (0, 1], got NaN`,
-		},
-		"first-bad-sorted": {
-			machine:        "Dancer",
-			links:          map[string]float64{"qpi": 2, "mem0": 0.5, "cache0": 0},
-			expectExactErr: `-fault-link scale for "cache0" must be in (0, 1], got 0`,
-		},
-	}
-	for name, tc := range cases {
-		t.Run(name, func(t *testing.T) { run(t, tc) })
 	}
 }

@@ -177,9 +177,11 @@ func allocsCell(name string, gate *Gate, prepare, fn func() error) cell {
 
 // clusterCell is one hierarchical broadcast of size bytes over nodes
 // copies of box. Its metric is the heap-allocation count of re-running the
-// cell on the measurement shard a first, unmeasured run built and warmed:
-// the arena's figure of merit at cluster scale.
+// cell on the measurement shard a first, unmeasured run built and warmed
+// (both runs go through one runner, so they share its shard pool): the
+// arena's figure of merit at cluster scale.
 func clusterCell(name string, nodes int, box topology.SyntheticSpec, switchBW float64, size int64) cell {
+	run := bench.NewRunner()
 	var cfg *bench.Config
 	prepare := func() error {
 		if cfg != nil {
@@ -190,11 +192,11 @@ func clusterCell(name string, nodes int, box topology.SyntheticSpec, switchBW fl
 			return err
 		}
 		cfg = &bench.Config{Machine: cl.Global, Comp: bench.Hier(cl), Op: bench.OpBcast, Size: size, Iters: 1, OffCache: true}
-		_, err = bench.Measure(*cfg)
+		_, err = run.Measure(*cfg)
 		return err
 	}
 	return allocsCell(name, within25, prepare, func() error {
-		_, err := bench.Measure(*cfg)
+		_, err := run.Measure(*cfg)
 		return err
 	})
 }

@@ -58,12 +58,13 @@ func main() {
 	reps := flag.Int("reps", 4, "selftest: batches per client")
 	flag.Parse()
 
-	cached, err := bench.EnableDefaultCache("simd", *noCache, *cacheDir)
+	run := bench.NewRunner()
+	cached, err := run.EnableDefaultCache("simd", *noCache, *cacheDir)
 	if err != nil {
 		fatal(err)
 	}
 
-	opts := serve.Options{LRUSize: *lruSize, Workers: *parallel}
+	opts := serve.Options{Runner: run, LRUSize: *lruSize, Workers: *parallel}
 	set := tune.NewSet()
 	for _, p := range splitNonEmpty(*decisionsPath) {
 		t, err := tune.Load(p, nil)
@@ -72,8 +73,7 @@ func main() {
 		}
 		set.Add(t)
 	}
-	bench.SetDecisions(set)
-	opts.Decisions = set
+	run.SetDecisions(set)
 
 	extra := map[string]*topology.Machine{}
 	for _, p := range splitNonEmpty(*machinesPath) {
@@ -156,7 +156,7 @@ func serveUntilSignal(addr string, opts serve.Options, cached bool, warmFile str
 		fmt.Fprintf(os.Stderr, "simd: warm stop: %d cells written to %s\n", len(ents), warmFile)
 	}
 	if cached {
-		bench.ReportCacheCounts("simd")
+		opts.Runner.ReportCacheCounts("simd")
 	}
 	return nil
 }

@@ -81,8 +81,9 @@ func cmdSearch(args []string) {
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := fs.String("memprofile", "", "write an allocation profile to this file at exit")
 	fs.Parse(args)
-	bench.SetParallel(*parallel)
-	cached, err := bench.EnableDefaultCache("tune", *noCache, *cacheDir)
+	run := bench.NewRunner()
+	run.SetParallel(*parallel)
+	cached, err := run.EnableDefaultCache("tune", *noCache, *cacheDir)
 	if err != nil {
 		fatal(err)
 	}
@@ -124,13 +125,12 @@ func cmdSearch(args []string) {
 	for _, s := range splitList(*sizes) {
 		o.Sizes = append(o.Sizes, parseSize(s))
 	}
-	t, err := search.Run(o)
+	t, err := search.Run(run, o)
 	if err != nil {
 		fatal(err)
 	}
 	if cached {
-		hits, misses := bench.CacheCounts()
-		fmt.Fprintf(os.Stderr, "tune: sim cache: %d hits, %d misses\n", hits, misses)
+		run.ReportCacheCounts("tune")
 	}
 	if *out == "" {
 		if err := t.Write(os.Stdout); err != nil {

@@ -36,7 +36,7 @@ func main() {
 	const blk = 512 << 10
 	fmt.Printf("\nAlltoall with %d KiB blocks on %s (%d ranks):\n", blk>>10, m.Name, m.NCores())
 	for _, c := range []bench.Comp{bench.KNEMColl(), bench.TunedKNEM(), bench.BasicSM(), bench.TunedSM()} {
-		res := bench.MustMeasure(bench.Config{
+		res := bench.Default.MustMeasure(bench.Config{
 			Machine: m, Comp: c, Op: bench.OpAlltoall, Size: blk, Iters: 2, OffCache: true,
 		})
 		fmt.Printf("  %-12s %9.1f us\n", c.Name, res.Seconds*1e6)

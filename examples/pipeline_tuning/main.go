@@ -48,7 +48,7 @@ func main() {
 }
 
 func measure(m *topology.Machine, cfg core.Config, size int64) float64 {
-	res := bench.MustMeasure(bench.Config{
+	res := bench.Default.MustMeasure(bench.Config{
 		Machine: m, Comp: bench.KNEMCollCfg("x", cfg),
 		Op: bench.OpBcast, Size: size, Iters: 2, OffCache: true,
 	})

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -22,9 +23,10 @@ type AblationRow struct {
 }
 
 // RunAblations measures every documented design choice. The independent
-// measurements all run as cells on the shared worker pool (SetParallel);
-// the rows are assembled in their historical order afterwards.
-func RunAblations(iters int) []AblationRow {
+// measurements all run as cells on the runner's worker pool
+// (SetParallel); the rows are assembled in their historical order
+// afterwards. It panics if any measurement fails.
+func (r *Runner) RunAblations(iters int) []AblationRow {
 	ig := topology.IG()
 	cfgs := []Config{
 		// 1. Broadcast topology (§IV): linear vs hierarchical vs pipelined.
@@ -50,13 +52,18 @@ func RunAblations(iters int) []AblationRow {
 	// 5. Lazy root synchronization under skew: a straggling receiver
 	// arrives 1 ms late; the strict root absorbs it, the lazy one does not.
 	secs := make([]float64, len(cfgs)+2)
-	runCells(len(cfgs)+2, func(i int) {
-		if i < len(cfgs) {
-			secs[i] = MustMeasure(cfgs[i]).Seconds
-			return
+	if err := r.runCellsCtx(context.Background(), len(secs), func(i int) error {
+		if i >= len(cfgs) {
+			var err error
+			secs[i], err = lazySyncMeasure(i == len(cfgs)+1)
+			return err
 		}
-		secs[i] = lazySyncMeasure(i == len(cfgs)+1)
-	})
+		res, err := r.Measure(cfgs[i])
+		secs[i] = res.Seconds
+		return err
+	}); err != nil {
+		panic(err)
+	}
 
 	lin, hier, pipe, multi, pipe8 := secs[0], secs[1], secs[2], secs[3], secs[4]
 	comp, ring, dirOn, dirOff, smc, knm := secs[5], secs[6], secs[7], secs[8], secs[9], secs[10]
@@ -77,7 +84,7 @@ func RunAblations(iters int) []AblationRow {
 
 // lazySyncMeasure times the root's Bcast exposure to a 1 ms straggler under
 // strict or lazy root synchronization.
-func lazySyncMeasure(lazy bool) float64 {
+func lazySyncMeasure(lazy bool) (float64, error) {
 	m := topology.Dancer()
 	var rootTime float64
 	_, _, err := mpi.Run(mpi.Options{
@@ -97,10 +104,7 @@ func lazySyncMeasure(lazy bool) float64 {
 		}
 		r.Barrier()
 	})
-	if err != nil {
-		panic(err)
-	}
-	return rootTime
+	return rootTime, err
 }
 
 // RenderAblations prints the table.

@@ -218,8 +218,8 @@ type Config struct {
 	// run (see internal/fault); counters land in Result.Stats.
 	Fault *fault.Plan
 	// Decider optionally attaches a tuned decision source to the world
-	// (internal/tune). When nil, the global decision set installed with
-	// SetDecisions is consulted for a table matching the machine; when
+	// (internal/tune). When nil, the decision set installed on the Runner
+	// with SetDecisions is consulted for a table matching the machine; when
 	// neither applies, every component keeps its hardcoded rules.
 	Decider *tune.Decider
 }
@@ -242,8 +242,8 @@ type Result struct {
 // memoization enabled (EnableCache), a cell whose full key — machine,
 // component configuration, op, size, nranks, iterations, decisions — was
 // measured before replays the recorded result instead of re-simulating.
-func Measure(cfg Config) (Result, error) {
-	return MeasureCtx(context.Background(), cfg)
+func (r *Runner) Measure(cfg Config) (Result, error) {
+	return r.MeasureCtx(context.Background(), cfg)
 }
 
 // MeasureCtx is Measure under a context: a cancelled ctx aborts the cell —
@@ -254,74 +254,74 @@ func Measure(cfg Config) (Result, error) {
 // so a server dropping a request mid-sweep leaks nothing. Concurrent
 // MeasureCtx calls for the same cache key are deduplicated: one simulates,
 // the others wait and replay its memoized entry (see flight.go).
-func MeasureCtx(ctx context.Context, cfg Config) (Result, error) {
+func (r *Runner) MeasureCtx(ctx context.Context, cfg Config) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	cfg, dec := withDefaults(cfg)
-	var key string
+	cfg, dec := r.withDefaults(cfg)
+	m := r.memo.Load()
+	if m == nil {
+		return r.simulate(ctx, cfg, dec)
+	}
+	key, ok := memoKey(cfg, dec)
+	if !ok {
+		return r.simulate(ctx, cfg, dec)
+	}
 	var fl *flight
-	if memo.enabled.Load() {
-		if k, ok := memoKey(cfg, dec); ok {
-			key = k
-			for {
-				if ent, ok := memoPeek(key); ok {
-					memo.hits.Add(1)
-					return Result{Config: cfg, Seconds: ent.Seconds, Stats: ent.Stats}, nil
-				}
-				var leader bool
-				fl, leader = flightJoin(key)
-				if leader {
-					// A leader that stored the entry and finished between
-					// the peek and the join leaves this caller leading a
-					// flight for a cell already cached: peek again so it
-					// is never simulated twice.
-					if ent, ok := memoPeek(key); ok {
-						flightDone(key, fl, true)
-						memo.hits.Add(1)
-						return Result{Config: cfg, Seconds: ent.Seconds, Stats: ent.Stats}, nil
-					}
-					break
-				}
-				memo.deduped.Add(1)
-				select {
-				case <-fl.done:
-				case <-ctx.Done():
-					return Result{}, ctx.Err()
-				}
-				// Leader succeeded: loop back to the peek, which now hits.
-				// Leader failed: loop back and race to become the new leader.
+	for {
+		if ent, ok := peek[memoEntry](m, key); ok {
+			r.hits.Add(1)
+			return Result{Config: cfg, Seconds: ent.Seconds, Stats: ent.Stats}, nil
+		}
+		var leader bool
+		fl, leader = r.flightJoin(key)
+		if leader {
+			// A leader that stored the entry and finished between the
+			// peek and the join leaves this caller leading a flight for a
+			// cell already cached: peek again so it is never simulated
+			// twice.
+			if ent, ok := peek[memoEntry](m, key); ok {
+				r.flightDone(key, fl, true)
+				r.hits.Add(1)
+				return Result{Config: cfg, Seconds: ent.Seconds, Stats: ent.Stats}, nil
 			}
-			memo.misses.Add(1)
+			break
 		}
-	}
-	res, err := simulate(ctx, cfg, dec)
-	if fl != nil {
-		if err == nil {
-			memoStore(key, memoEntry{Seconds: res.Seconds, Stats: res.Stats})
+		r.deduped.Add(1)
+		select {
+		case <-fl.done:
+		case <-ctx.Done():
+			return Result{}, ctx.Err()
 		}
-		flightDone(key, fl, err == nil)
+		// Leader succeeded: loop back to the peek, which now hits.
+		// Leader failed: loop back and race to become the new leader.
 	}
+	r.misses.Add(1)
+	res, err := r.simulate(ctx, cfg, dec)
+	if err == nil {
+		put(m, key, memoEntry{Seconds: res.Seconds, Stats: res.Stats})
+	}
+	r.flightDone(key, fl, err == nil)
 	return res, err
 }
 
 // MeasureForced measures cfg without consulting the memo cache. parallel
 // must be false: the cell always runs on one engine, and asking for
 // intra-cell parallel execution is an error.
-func MeasureForced(ctx context.Context, cfg Config, parallel bool) (Result, error) {
+func (r *Runner) MeasureForced(ctx context.Context, cfg Config, parallel bool) (Result, error) {
 	if parallel {
 		return Result{}, errors.New("bench: intra-cell parallel execution is not supported")
 	}
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
-	cfg, dec := withDefaults(cfg)
-	return simulate(ctx, cfg, dec)
+	cfg, dec := r.withDefaults(cfg)
+	return r.simulate(ctx, cfg, dec)
 }
 
 // withDefaults applies the NP/Iters defaults to cfg and resolves its
-// effective decision table.
-func withDefaults(cfg Config) (Config, *tune.Decider) {
+// effective decision table: cfg.Decider, else the runner's decision set.
+func (r *Runner) withDefaults(cfg Config) (Config, *tune.Decider) {
 	if cfg.NP == 0 {
 		cfg.NP = cfg.Machine.NCores()
 	}
@@ -330,17 +330,17 @@ func withDefaults(cfg Config) (Config, *tune.Decider) {
 	}
 	dec := cfg.Decider
 	if dec == nil {
-		dec = decisions.Load().For(cfg.Machine)
+		dec = r.decisions.Load().For(cfg.Machine)
 	}
 	return cfg, dec
 }
 
 // simulate runs cfg's cell for real on a leased engine shard. cfg must
 // already have its defaults applied and dec resolved (withDefaults).
-func simulate(ctx context.Context, cfg Config, dec *tune.Decider) (Result, error) {
+func (r *Runner) simulate(ctx context.Context, cfg Config, dec *tune.Decider) (Result, error) {
 	stats := &trace.Stats{}
-	sh := acquireShard()
-	defer releaseShard(sh)
+	sh := r.acquireShard()
+	defer r.releaseShard(sh)
 	eng, net := sh.lease(cfg.Machine, stats)
 	// Cluster cells scope hardware coherence to nodes: no real fabric
 	// snoops across machines.
@@ -418,21 +418,21 @@ func benchBody(cfg Config, stats *trace.Stats, perRank []float64) func(r *mpi.Ra
 // plans, components without a canonical configuration encoding). The
 // serving layer keys its bounded in-memory store by it, so a served cell
 // and a memoized cell can never alias under different identities.
-func CellKey(cfg Config) (string, bool) {
+func (r *Runner) CellKey(cfg Config) (string, bool) {
 	if cfg.Machine == nil {
 		return "", false
 	}
-	return memoKey(withDefaults(cfg))
+	return memoKey(r.withDefaults(cfg))
 }
 
-// MustMeasure is Measure, panicking on simulation failure (used by the
-// figure builders, where any deadlock is a bug).
-func MustMeasure(cfg Config) Result {
-	r, err := Measure(cfg)
+// MustMeasure is Measure, panicking on simulation failure (used where any
+// deadlock is a bug).
+func (r *Runner) MustMeasure(cfg Config) Result {
+	res, err := r.Measure(cfg)
 	if err != nil {
 		panic(err)
 	}
-	return r
+	return res
 }
 
 // opBufs holds the per-rank buffers for one op.

@@ -40,13 +40,12 @@ func TestEnableCacheDirFailFast(t *testing.T) {
 			skip: os.Geteuid() == 0,
 		},
 	}
-	defer DisableCache()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.skip {
 				t.Skip("not enforceable for this user")
 			}
-			err := EnableCache(tc.dir)
+			err := NewRunner().EnableCache(tc.dir)
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("EnableCache(%q) = %v, want success", tc.dir, err)
@@ -75,18 +74,18 @@ func TestEnableCacheDirFailFast(t *testing.T) {
 // explicitly requested -cache-dir that cannot be used is an error (the
 // caller exits), while noCache simply reports the cache off.
 func TestEnableDefaultCacheExplicitDirFails(t *testing.T) {
-	defer DisableCache()
+	r := NewRunner()
 	bad := filepath.Join(t.TempDir(), "file")
 	if err := os.WriteFile(bad, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if on, err := EnableDefaultCache("prog", false, bad); err == nil || on {
+	if on, err := r.EnableDefaultCache("prog", false, bad); err == nil || on {
 		t.Fatalf("explicit unusable -cache-dir: got on=%v err=%v, want fail-fast error", on, err)
 	}
-	if on, err := EnableDefaultCache("prog", true, bad); err != nil || on {
+	if on, err := r.EnableDefaultCache("prog", true, bad); err != nil || on {
 		t.Fatalf("-no-cache: got on=%v err=%v, want off with no error", on, err)
 	}
-	if on, err := EnableDefaultCache("prog", false, filepath.Join(t.TempDir(), "fresh")); err != nil || !on {
+	if on, err := r.EnableDefaultCache("prog", false, filepath.Join(t.TempDir(), "fresh")); err != nil || !on {
 		t.Fatalf("usable explicit dir: got on=%v err=%v, want enabled", on, err)
 	}
 }

@@ -14,14 +14,14 @@ import (
 // context aborts before any simulation, and MeasureAllCtx surfaces the
 // cancellation instead of partial results.
 func TestMeasureCtxCancelled(t *testing.T) {
-	DisableCache()
+	r := NewRunner()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	cfg := memoTestConfig(topology.Dancer(), 64*KiB)
-	if _, err := MeasureCtx(ctx, cfg); !errors.Is(err, context.Canceled) {
+	if _, err := r.MeasureCtx(ctx, cfg); !errors.Is(err, context.Canceled) {
 		t.Fatalf("MeasureCtx on a cancelled ctx: %v, want context.Canceled", err)
 	}
-	if _, err := MeasureAllCtx(ctx, []Config{cfg, cfg}); !errors.Is(err, context.Canceled) {
+	if _, err := r.MeasureAllCtx(ctx, []Config{cfg, cfg}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("MeasureAllCtx on a cancelled ctx: %v, want context.Canceled", err)
 	}
 }
@@ -33,9 +33,8 @@ func TestMeasureCtxCancelled(t *testing.T) {
 // fresh-process run, proving the aborted cells released their engine
 // shards in a Reset-able state.
 func TestMeasureAllCtxCancelMidSweep(t *testing.T) {
-	DisableCache()
 	m := topology.IG()
-	reference := MustMeasure(memoTestConfig(m, 64*KiB))
+	reference := NewRunner().MustMeasure(memoTestConfig(m, 64*KiB))
 
 	var cfgs []Config
 	for i := 0; i < 8; i++ {
@@ -43,21 +42,21 @@ func TestMeasureAllCtxCancelMidSweep(t *testing.T) {
 			cfgs = append(cfgs, memoTestConfig(m, sz))
 		}
 	}
-	SetParallel(4)
-	defer SetParallel(1)
+	r := NewRunner()
+	r.SetParallel(4)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(5 * time.Millisecond) // let some cells reach mid-simulation
 		cancel()
 	}()
-	res, err := MeasureAllCtx(ctx, cfgs)
+	res, err := r.MeasureAllCtx(ctx, cfgs)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled sweep returned err=%v (results=%v), want context.Canceled", err, res != nil)
 	}
 
 	// The pool now holds shards whose last cell was interrupted; reusing
 	// them must be indistinguishable from fresh engines.
-	after := MustMeasure(memoTestConfig(m, 64*KiB))
+	after := r.MustMeasure(memoTestConfig(m, 64*KiB))
 	if after.Seconds != reference.Seconds || !reflect.DeepEqual(after.Stats, reference.Stats) {
 		t.Fatalf("post-cancel measurement diverges: %v vs %v", after.Seconds, reference.Seconds)
 	}
@@ -68,17 +67,17 @@ func TestMeasureAllCtxCancelMidSweep(t *testing.T) {
 // waiter with a live context retries and completes with the correct
 // result rather than hanging or inheriting the leader's cancellation.
 func TestMeasureCtxCancelReleasesFlight(t *testing.T) {
-	if err := EnableCache(""); err != nil {
+	r := NewRunner()
+	if err := r.EnableCache(""); err != nil {
 		t.Fatal(err)
 	}
-	defer DisableCache()
 	m := topology.IG()
 	cfg := memoTestConfig(m, 2*MiB)
 
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, err := MeasureCtx(leaderCtx, cfg)
+		_, err := r.MeasureCtx(leaderCtx, cfg)
 		leaderErr <- err
 	}()
 	time.Sleep(2 * time.Millisecond)
@@ -88,12 +87,11 @@ func TestMeasureCtxCancelReleasesFlight(t *testing.T) {
 		t.Fatalf("leader returned %v, want nil (finished first) or context.Canceled", err)
 	}
 
-	got, gerr := MeasureCtx(context.Background(), cfg)
+	got, gerr := r.MeasureCtx(context.Background(), cfg)
 	if gerr != nil {
 		t.Fatalf("follow-up measure after cancelled leader: %v", gerr)
 	}
-	DisableCache()
-	want := MustMeasure(cfg)
+	want := NewRunner().MustMeasure(cfg)
 	if got.Seconds != want.Seconds || !reflect.DeepEqual(got.Stats, want.Stats) {
 		t.Fatalf("post-cancel flight result diverges: %v vs %v", got.Seconds, want.Seconds)
 	}

@@ -36,9 +36,9 @@ type Figure struct {
 }
 
 // sweep measures comps × sizes on one machine for one op. Cells run on the
-// shared worker pool (SetParallel) and are assembled comp-major in index
+// runner's worker pool (SetParallel) and are assembled comp-major in index
 // order, so the output is independent of the parallelism level.
-func sweep(m *topology.Machine, np int, op Op, comps []Comp, sizes []int64, iters int, offCache bool) []Series {
+func (r *Runner) sweep(m *topology.Machine, np int, op Op, comps []Comp, sizes []int64, iters int, offCache bool) []Series {
 	cfgs := make([]Config, 0, len(comps)*len(sizes))
 	for _, c := range comps {
 		for _, sz := range sizes {
@@ -48,7 +48,7 @@ func sweep(m *topology.Machine, np int, op Op, comps []Comp, sizes []int64, iter
 			})
 		}
 	}
-	results := MeasureAll(cfgs)
+	results := r.MeasureAll(cfgs)
 	out := make([]Series, len(comps))
 	for i, c := range comps {
 		out[i] = Series{Label: c.Name, Seconds: make(map[int64]float64)}
@@ -62,7 +62,7 @@ func sweep(m *topology.Machine, np int, op Op, comps []Comp, sizes []int64, iter
 // opFigure builds one of the Fig 5-8 style figures: the op measured on all
 // four platforms with the five paper configurations, normalized to
 // KNEM-Coll.
-func opFigure(id, title string, op Op, sizes []int64, iters int) Figure {
+func (r *Runner) opFigure(id, title string, op Op, sizes []int64, iters int) Figure {
 	fig := Figure{ID: id, Title: title}
 	for _, m := range []*topology.Machine{topology.Zoot(), topology.Dancer(), topology.Saturn(), topology.IG()} {
 		fig.Panels = append(fig.Panels, Panel{
@@ -70,43 +70,43 @@ func opFigure(id, title string, op Op, sizes []int64, iters int) Figure {
 			Machine:  m.Name,
 			Baseline: "KNEM-Coll",
 			Sizes:    sizes,
-			Series:   sweep(m, m.NCores(), op, PaperComponents(), sizes, iters, true),
+			Series:   r.sweep(m, m.NCores(), op, PaperComponents(), sizes, iters, true),
 		})
 	}
 	return fig
 }
 
 // Fig5 regenerates Figure 5: Broadcast comparison on all platforms.
-func Fig5(iters int) Figure {
-	return opFigure("fig5", "Broadcast", OpBcast, PaperSizes(), iters)
+func (r *Runner) Fig5(iters int) Figure {
+	return r.opFigure("fig5", "Broadcast", OpBcast, PaperSizes(), iters)
 }
 
 // Fig6 regenerates Figure 6: Gather comparison.
-func Fig6(iters int) Figure {
-	return opFigure("fig6", "Gather", OpGather, PaperSizes(), iters)
+func (r *Runner) Fig6(iters int) Figure {
+	return r.opFigure("fig6", "Gather", OpGather, PaperSizes(), iters)
 }
 
 // ScatterFigure regenerates the §VI-C Scatter discussion (no paper figure;
 // the text reports maximum speedups of ~3x/2x/4x/4x).
-func ScatterFigure(iters int) Figure {
-	return opFigure("scatter", "Scatter", OpScatter, PaperSizes(), iters)
+func (r *Runner) ScatterFigure(iters int) Figure {
+	return r.opFigure("scatter", "Scatter", OpScatter, PaperSizes(), iters)
 }
 
 // Fig7 regenerates Figure 7: Alltoallv comparison.
-func Fig7(iters int) Figure {
-	return opFigure("fig7", "Alltoallv", OpAlltoallv, PaperSizes(), iters)
+func (r *Runner) Fig7(iters int) Figure {
+	return r.opFigure("fig7", "Alltoallv", OpAlltoallv, PaperSizes(), iters)
 }
 
 // Fig8 regenerates Figure 8: Allgather comparison.
-func Fig8(iters int) Figure {
-	return opFigure("fig8", "Allgather", OpAllgather, PaperSizes(), iters)
+func (r *Runner) Fig8(iters int) Figure {
+	return r.opFigure("fig8", "Allgather", OpAllgather, PaperSizes(), iters)
 }
 
 // Fig4 regenerates Figure 4: pipeline-size tuning of the hierarchical
 // pipelined Broadcast on IG. Series: the linear algorithm, and the
 // hierarchical algorithm with pipeline segments from 4 KiB to 2 MiB;
 // normalized against hierarchical-without-pipeline.
-func Fig4(iters int) Figure {
+func (r *Runner) Fig4(iters int) Figure {
 	m := topology.IG()
 	comps := []Comp{
 		KNEMCollCfg("no-pipeline", core.Config{Mode: core.ModeHierarchical, NoPipeline: true}),
@@ -126,7 +126,7 @@ func Fig4(iters int) Figure {
 			Machine:  m.Name,
 			Baseline: "no-pipeline",
 			Sizes:    Fig4Sizes(),
-			Series:   sweep(m, m.NCores(), OpBcast, comps, Fig4Sizes(), iters, true),
+			Series:   r.sweep(m, m.NCores(), OpBcast, comps, Fig4Sizes(), iters, true),
 		}},
 	}
 }

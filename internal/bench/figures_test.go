@@ -21,7 +21,7 @@ func tinyFigure(t *testing.T) Figure {
 			Machine:  m.Name,
 			Baseline: "KNEM-Coll",
 			Sizes:    []int64{64 * KiB},
-			Series:   sweep(m, m.NCores(), OpBcast, []Comp{TunedSM(), KNEMColl()}, []int64{64 * KiB}, 1, true),
+			Series:   Default.sweep(m, m.NCores(), OpBcast, []Comp{TunedSM(), KNEMColl()}, []int64{64 * KiB}, 1, true),
 		}},
 	}
 }
@@ -63,7 +63,7 @@ func TestFigureRenderAndJSON(t *testing.T) {
 
 func TestScalabilityRender(t *testing.T) {
 	m := topology.Dancer()
-	s := RunScalability(m, OpBcast, 256*KiB, []int{2, 8}, []Comp{TunedSM(), KNEMColl()}, 1)
+	s := Default.RunScalability(m, OpBcast, 256*KiB, []int{2, 8}, []Comp{TunedSM(), KNEMColl()}, 1)
 	var sb strings.Builder
 	s.Render(&sb)
 	out := sb.String()
@@ -76,7 +76,7 @@ func TestScalabilityRender(t *testing.T) {
 }
 
 func TestTable1Render(t *testing.T) {
-	res := RunTable1(topology.Dancer(), 2048, 32)
+	res := Default.RunTable1(topology.Dancer(), 2048, 32)
 	var sb strings.Builder
 	res.Render(&sb)
 	if !strings.Contains(sb.String(), "Improvement") || !strings.Contains(sb.String(), "KNEM Coll") {
@@ -89,15 +89,22 @@ func TestTable1Render(t *testing.T) {
 
 func TestPingPongOp(t *testing.T) {
 	m := topology.Dancer()
-	small := MustMeasure(Config{Machine: m, Comp: TunedSM(), Op: OpPingPong, Size: 1 * KiB, Iters: 2})
-	big := MustMeasure(Config{Machine: m, Comp: TunedSM(), Op: OpPingPong, Size: 1 * MiB, Iters: 2})
+	small := Default.MustMeasure(Config{Machine: m, Comp: TunedSM(), Op: OpPingPong, Size: 1 * KiB, Iters: 2})
+	big := Default.MustMeasure(Config{Machine: m, Comp: TunedSM(), Op: OpPingPong, Size: 1 * MiB, Iters: 2})
 	if small.Seconds <= 0 || big.Seconds <= small.Seconds {
 		t.Fatalf("pingpong: small=%g big=%g", small.Seconds, big.Seconds)
 	}
 }
 
 func TestAblationRows(t *testing.T) {
-	strict, lazy := lazySyncMeasure(false), lazySyncMeasure(true)
+	strict, err := lazySyncMeasure(false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lazy, err := lazySyncMeasure(true)
+	if err != nil {
+		t.Fatal(err)
+	}
 	row := AblationRow{
 		Name: "root sync under 1ms straggler", A: "strict", B: "lazy",
 		SecsA: strict, SecsB: lazy, Speedup: strict / lazy,

@@ -1,7 +1,5 @@
 package bench
 
-import "sync"
-
 // Singleflight for measurement cells: when several goroutines — the
 // parallel sweep runner's workers, or concurrent server requests — need
 // the same cell key at the same moment, exactly one of them simulates and
@@ -25,32 +23,30 @@ type flight struct {
 	ok   bool
 }
 
-var flights = struct {
-	mu sync.Mutex
-	m  map[string]*flight
-}{m: map[string]*flight{}}
-
-// flightJoin returns the in-progress flight for key, creating one if none
-// exists; leader reports whether this caller created it (and therefore
-// must simulate and complete the flight).
-func flightJoin(key string) (c *flight, leader bool) {
-	flights.mu.Lock()
-	defer flights.mu.Unlock()
-	if c, ok := flights.m[key]; ok {
+// flightJoin returns the runner's in-progress flight for key, creating one
+// if none exists; leader reports whether this caller created it (and
+// therefore must simulate and complete the flight).
+func (r *Runner) flightJoin(key string) (c *flight, leader bool) {
+	r.flightMu.Lock()
+	defer r.flightMu.Unlock()
+	if c, ok := r.flights[key]; ok {
 		return c, false
 	}
+	if r.flights == nil {
+		r.flights = map[string]*flight{}
+	}
 	c = &flight{done: make(chan struct{})}
-	flights.m[key] = c
+	r.flights[key] = c
 	return c, true
 }
 
 // flightDone completes a flight: the leader calls it exactly once, with ok
 // true only after the entry has been stored in the memo layer (so woken
 // waiters are guaranteed to find it there).
-func flightDone(key string, c *flight, ok bool) {
-	flights.mu.Lock()
-	delete(flights.m, key)
-	flights.mu.Unlock()
+func (r *Runner) flightDone(key string, c *flight, ok bool) {
+	r.flightMu.Lock()
+	delete(r.flights, key)
+	r.flightMu.Unlock()
 	c.ok = ok
 	close(c.done)
 }

@@ -19,17 +19,16 @@ import (
 func TestConcurrentMemoSingleflight(t *testing.T) {
 	m := topology.Dancer()
 	sizes := []int64{32 * KiB, 64 * KiB, 128 * KiB, 256 * KiB}
-	DisableCache()
 	want := make([]Result, len(sizes))
 	for i, sz := range sizes {
-		want[i] = MustMeasure(memoTestConfig(m, sz))
+		want[i] = NewRunner().MustMeasure(memoTestConfig(m, sz))
 	}
 
 	dir := t.TempDir()
-	if err := EnableCache(dir); err != nil {
+	r := NewRunner()
+	if err := r.EnableCache(dir); err != nil {
 		t.Fatal(err)
 	}
-	defer DisableCache()
 
 	const goroutines = 24
 	got := make([][]Result, goroutines)
@@ -43,12 +42,12 @@ func TestConcurrentMemoSingleflight(t *testing.T) {
 				// Stagger the order per goroutine so hit/miss/populate and
 				// in-flight waits interleave differently on every run.
 				j := (i + g) % len(sizes)
-				r, err := MeasureCtx(context.Background(), memoTestConfig(m, sizes[j]))
+				res, err := r.MeasureCtx(context.Background(), memoTestConfig(m, sizes[j]))
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				got[g][j] = r
+				got[g][j] = res
 			}
 		}(g)
 	}
@@ -61,7 +60,7 @@ func TestConcurrentMemoSingleflight(t *testing.T) {
 			}
 		}
 	}
-	hits, misses := CacheCounts()
+	hits, misses := r.CacheCounts()
 	if misses != int64(len(sizes)) {
 		t.Fatalf("%d misses for %d distinct cells: a concurrent duplicate was simulated", misses, len(sizes))
 	}
@@ -72,22 +71,22 @@ func TestConcurrentMemoSingleflight(t *testing.T) {
 	// Byte-identical read-back through the persistent layer: a fresh cache
 	// over the same directory must serve every cell from disk, and the
 	// JSON-serialized results must match the sequential ones exactly.
-	DisableCache()
-	if err := EnableCache(dir); err != nil {
+	r.DisableCache()
+	if err := r.EnableCache(dir); err != nil {
 		t.Fatal(err)
 	}
 	for i, sz := range sizes {
-		r := MustMeasure(memoTestConfig(m, sz))
-		a, _ := json.Marshal(Result{Seconds: r.Seconds, Stats: r.Stats})
+		res := r.MustMeasure(memoTestConfig(m, sz))
+		a, _ := json.Marshal(Result{Seconds: res.Seconds, Stats: res.Stats})
 		b, _ := json.Marshal(Result{Seconds: want[i].Seconds, Stats: want[i].Stats})
 		if string(a) != string(b) {
 			t.Fatalf("disk read-back not byte-identical for size %d:\n%s\n%s", sz, a, b)
 		}
 	}
-	if hits, misses := CacheCounts(); misses != 0 || hits != int64(len(sizes)) {
+	if hits, misses := r.CacheCounts(); misses != 0 || hits != int64(len(sizes)) {
 		t.Fatalf("read-back counts = %d hits, %d misses; want %d, 0", hits, misses, len(sizes))
 	}
-	if DedupedCount() != 0 {
-		t.Fatalf("sequential read-back recorded %d deduped calls", DedupedCount())
+	if n := r.DedupedCount(); n != 0 {
+		t.Fatalf("sequential read-back recorded %d deduped calls", n)
 	}
 }

@@ -61,7 +61,7 @@ func TestGoldenValues(t *testing.T) {
 		if cfg.Comp.Name != g.comp {
 			t.Fatalf("%s: component %q, row names %q", g.machine, cfg.Comp.Name, g.comp)
 		}
-		res := MustMeasure(cfg)
+		res := Default.MustMeasure(cfg)
 		if math.Abs(res.Seconds-g.want) > 1e-9*g.want {
 			t.Errorf("%s/%s/%s/%d = %.9e, golden %.9e — model drift (regenerate if intentional)",
 				g.machine, g.comp, g.op, g.size, res.Seconds, g.want)
@@ -107,15 +107,15 @@ func syntheticCluster(t testing.TB, nodes int) *topology.Cluster {
 func TestMeasureForcedRejectsParallel(t *testing.T) {
 	cl := syntheticCluster(t, 2)
 	cfg := Config{Machine: cl.Global, Comp: Hier(cl), Op: OpBcast, Size: 16 * KiB, Iters: 1, OffCache: true}
-	serial, err := MeasureForced(context.Background(), cfg, false)
+	serial, err := Default.MeasureForced(context.Background(), cfg, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := MustMeasure(cfg); serial.Seconds != want.Seconds || serial.Stats.Copies != want.Stats.Copies {
+	if want := Default.MustMeasure(cfg); serial.Seconds != want.Seconds || serial.Stats.Copies != want.Stats.Copies {
 		t.Errorf("MeasureForced(false) = %.12g (%d copies), Measure = %.12g (%d copies)",
 			serial.Seconds, serial.Stats.Copies, want.Seconds, want.Stats.Copies)
 	}
-	_, err = MeasureForced(context.Background(), cfg, true)
+	_, err = Default.MeasureForced(context.Background(), cfg, true)
 	if err == nil || err.Error() != "bench: intra-cell parallel execution is not supported" {
 		t.Fatalf("MeasureForced(true) error = %v, want the one-line rejection", err)
 	}
@@ -128,8 +128,8 @@ func TestMeasurementDeterminism(t *testing.T) {
 		Machine: topology.IG(), Comp: KNEMColl(), Op: OpBcast,
 		Size: 1 << 20, Iters: 2, OffCache: true,
 	}
-	a := MustMeasure(cfg)
-	b := MustMeasure(cfg)
+	a := Default.MustMeasure(cfg)
+	b := Default.MustMeasure(cfg)
 	if a.Seconds != b.Seconds {
 		t.Fatalf("nondeterministic: %.12e vs %.12e", a.Seconds, b.Seconds)
 	}

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/trace"
 	"repro/internal/tune"
@@ -43,35 +42,48 @@ const simFingerprint = "sim/g3-partition"
 // cacheSchema versions the on-disk entry format.
 const cacheSchema = "simcache/v1"
 
-var memo struct {
-	enabled atomic.Bool
-	mu      sync.Mutex // guards dir
-	dir     string
-	mem     sync.Map // key string -> memoEntry
-	hits    atomic.Int64
-	misses  atomic.Int64
-	deduped atomic.Int64
+// memo is one enabled run memo: the persistent directory ("" keeps it
+// in-memory only) and the in-memory layer over it.
+type memo struct {
+	dir string
+	mem sync.Map // key string -> memoEntry or rawMemoEntry
 }
 
-// memoEntry is one cached cell, also the on-disk JSON document. Seconds
-// and the Stats counters round-trip exactly through encoding/json
+// entryHead opens every on-disk entry. The full key is recorded inside
+// the entry, so a hash collision or a truncated file reads as a miss.
+type entryHead struct {
+	Schema string `json:"schema"`
+	Key    string `json:"key"`
+}
+
+func (h *entryHead) head() *entryHead { return h }
+
+// memoEntry is one cached Measure cell, also the on-disk JSON document.
+// Seconds and the Stats counters round-trip exactly through encoding/json
 // (shortest-representation floats, integer counters), so a cache hit is
 // bit-for-bit identical to the simulation it replaces.
 type memoEntry struct {
-	Schema  string      `json:"schema"`
-	Key     string      `json:"key"`
+	entryHead
 	Seconds float64     `json:"seconds"`
 	Stats   trace.Stats `json:"stats"`
 }
 
-// EnableCache turns on run memoization. dir is the persistent cache
-// directory shared across processes; "" keeps the cache in-memory only
-// (per process). Missing parents are created, and writability is probed up
-// front: per-entry writes are deliberately best-effort and silent (they
-// cost speed, not results), so a directory that can never accept a write
-// must be rejected here, once, with one clear error — not discovered late
-// as a per-shard no-op. Enabling resets the hit/miss/dedup counters.
-func EnableCache(dir string) error {
+// rawMemoEntry carries a memoized cell whose payload is not a Measure
+// (seconds, stats) pair — the ASP application cells of Table I.
+type rawMemoEntry struct {
+	entryHead
+	Value json.RawMessage `json:"value"`
+}
+
+// EnableCache turns on run memoization with an empty in-memory layer. dir
+// is the persistent cache directory shared across processes; "" keeps the
+// cache in-memory only. Missing parents are created, and writability is
+// probed up front: per-entry writes are deliberately best-effort and
+// silent (they cost speed, not results), so a directory that can never
+// accept a write must be rejected here, once, with one clear error — not
+// discovered late as a per-shard no-op. Enabling resets the runner's
+// hit/miss/dedup counters.
+func (r *Runner) EnableCache(dir string) error {
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return fmt.Errorf("bench: cache dir %s: %v", dir, err)
@@ -83,22 +95,16 @@ func EnableCache(dir string) error {
 		probe.Close()
 		os.Remove(probe.Name())
 	}
-	memo.mu.Lock()
-	memo.dir = dir
-	memo.mu.Unlock()
-	memo.hits.Store(0)
-	memo.misses.Store(0)
-	memo.deduped.Store(0)
-	memo.enabled.Store(true)
+	r.hits.Store(0)
+	r.misses.Store(0)
+	r.deduped.Store(0)
+	r.memo.Store(&memo{dir: dir})
 	return nil
 }
 
 // DisableCache turns run memoization off (the default). The in-memory
 // entries are dropped; disk entries are kept for future runs.
-func DisableCache() {
-	memo.enabled.Store(false)
-	memo.mem.Clear()
-}
+func (r *Runner) DisableCache() { r.memo.Store(nil) }
 
 // EnableDefaultCache turns on run memoization (unless noCache), using dir
 // or a per-user default directory; it reports whether the cache is on.
@@ -109,12 +115,12 @@ func DisableCache() {
 // warning: there the cache trades speed, never results. This is the
 // shared flag plumbing behind the -no-cache/-cache-dir flags of imb,
 // tune, asp, and simd.
-func EnableDefaultCache(prog string, noCache bool, dir string) (bool, error) {
+func (r *Runner) EnableDefaultCache(prog string, noCache bool, dir string) (bool, error) {
 	if noCache {
 		return false, nil
 	}
 	if dir != "" {
-		if err := EnableCache(dir); err != nil {
+		if err := r.EnableCache(dir); err != nil {
 			return false, err
 		}
 		return true, nil
@@ -122,32 +128,32 @@ func EnableDefaultCache(prog string, noCache bool, dir string) (bool, error) {
 	if base, err := os.UserCacheDir(); err == nil {
 		dir = filepath.Join(base, "repro-sim")
 	}
-	if err := EnableCache(dir); err != nil {
+	if err := r.EnableCache(dir); err != nil {
 		fmt.Fprintf(os.Stderr, "%s: %v (continuing with an in-memory cache)\n", prog, err)
-		EnableCache("")
+		r.EnableCache("")
 	}
 	return true, nil
 }
 
 // ReportCacheCounts prints the hit/miss summary the cache-enabled commands
 // emit on exit.
-func ReportCacheCounts(prog string) {
-	hits, misses := CacheCounts()
+func (r *Runner) ReportCacheCounts(prog string) {
+	hits, misses := r.CacheCounts()
 	fmt.Fprintf(os.Stderr, "%s: sim cache: %d hits, %d misses\n", prog, hits, misses)
 }
 
-// CacheCounts returns how many Measure calls were served from the cache
-// and how many had to simulate since the cache was last enabled. Calls
-// that waited on an identical in-flight cell (singleflight) count as hits:
-// they were served without a simulation of their own.
-func CacheCounts() (hits, misses int64) {
-	return memo.hits.Load(), memo.misses.Load()
+// CacheCounts returns how many of the runner's memoized calls were served
+// from the cache and how many had to simulate since the cache was last
+// enabled. Calls that waited on an identical in-flight cell (singleflight)
+// count as hits: they were served without a simulation of their own.
+func (r *Runner) CacheCounts() (hits, misses int64) {
+	return r.hits.Load(), r.misses.Load()
 }
 
 // DedupedCount returns how many Measure calls were deduplicated against an
 // identical in-flight cell since the cache was last enabled — each one a
 // simulation the singleflight layer avoided without touching disk.
-func DedupedCount() int64 { return memo.deduped.Load() }
+func (r *Runner) DedupedCount() int64 { return r.deduped.Load() }
 
 // memoKey builds cfg's cache key. ok is false when the cell must not be
 // cached: a fault plan is active, or the component carries no canonical
@@ -174,52 +180,47 @@ func entryPath(dir, key string) string {
 	return filepath.Join(dir, h[:2], h+".json")
 }
 
-// memoPeek consults the in-memory layer, then disk, without touching the
-// hit/miss counters — Measure accounts each of its calls exactly once
-// after the singleflight layer has resolved who simulates. Disk hits are
+// headed is an entry type whose pointer exposes its entryHead.
+type headed[E any] interface {
+	*E
+	head() *entryHead
+}
+
+// peek consults the in-memory layer, then disk, without touching the
+// hit/miss counters — each caller accounts its own calls. Disk hits are
 // promoted to memory. Any read, decode, or key mismatch problem is a miss.
-func memoPeek(key string) (memoEntry, bool) {
-	if v, ok := memo.mem.Load(key); ok {
-		return v.(memoEntry), true
+func peek[E any, P headed[E]](m *memo, key string) (E, bool) {
+	if v, ok := m.mem.Load(key); ok {
+		e, ok := v.(E)
+		return e, ok
 	}
-	memo.mu.Lock()
-	dir := memo.dir
-	memo.mu.Unlock()
-	if dir != "" {
-		data, err := os.ReadFile(entryPath(dir, key))
-		if err == nil {
-			var ent memoEntry
-			if json.Unmarshal(data, &ent) == nil && ent.Schema == cacheSchema && ent.Key == key {
-				memo.mem.Store(key, ent)
-				return ent, true
-			}
-		}
+	var e E
+	if m.dir == "" {
+		return e, false
 	}
-	return memoEntry{}, false
+	data, err := os.ReadFile(entryPath(m.dir, key))
+	if err != nil || json.Unmarshal(data, &e) != nil || *P(&e).head() != (entryHead{cacheSchema, key}) {
+		return *new(E), false
+	}
+	m.mem.Store(key, e)
+	return e, true
 }
 
-// memoStore records a freshly simulated cell. Disk persistence is
-// best-effort: a full or read-only cache directory costs future speed, not
-// correctness, so write errors are ignored.
-func memoStore(key string, ent memoEntry) {
-	ent.Schema, ent.Key = cacheSchema, key
-	memo.mem.Store(key, ent)
-	if data, err := json.Marshal(&ent); err == nil {
-		writeEntryFile(key, data)
-	}
-}
-
-// writeEntryFile persists one encoded entry under the disk layer's path for
-// key, via create-temp + rename so concurrent writers never leave partial
-// files. No-op without a disk directory; errors cost speed, not results.
-func writeEntryFile(key string, data []byte) {
-	memo.mu.Lock()
-	dir := memo.dir
-	memo.mu.Unlock()
-	if dir == "" {
+// put records a freshly computed entry under key. Disk persistence is
+// best-effort, via create-temp + rename so concurrent writers never leave
+// partial files: a full or read-only cache directory costs future speed,
+// not correctness, so write errors are ignored.
+func put[E any, P headed[E]](m *memo, key string, e E) {
+	*P(&e).head() = entryHead{cacheSchema, key}
+	m.mem.Store(key, e)
+	if m.dir == "" {
 		return
 	}
-	path := entryPath(dir, key)
+	data, err := json.Marshal(&e)
+	if err != nil {
+		return
+	}
+	path := entryPath(m.dir, key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return
 	}
@@ -235,61 +236,5 @@ func writeEntryFile(key string, data []byte) {
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		os.Remove(tmp.Name())
-	}
-}
-
-// rawMemoEntry carries a memoized cell whose payload is not a Measure
-// (seconds, stats) pair — e.g. the ASP application cells of Table I. Same
-// key discipline, disk layout, and atomicity as memoEntry.
-type rawMemoEntry struct {
-	Schema string          `json:"schema"`
-	Key    string          `json:"key"`
-	Value  json.RawMessage `json:"value"`
-}
-
-// memoLookupJSON consults the cache for key, decoding the payload into
-// out; it reports whether the cell was served from the cache.
-func memoLookupJSON(key string, out any) bool {
-	if !memo.enabled.Load() {
-		return false
-	}
-	if v, ok := memo.mem.Load(key); ok {
-		if ent, ok := v.(rawMemoEntry); ok && json.Unmarshal(ent.Value, out) == nil {
-			memo.hits.Add(1)
-			return true
-		}
-	}
-	memo.mu.Lock()
-	dir := memo.dir
-	memo.mu.Unlock()
-	if dir != "" {
-		data, err := os.ReadFile(entryPath(dir, key))
-		if err == nil {
-			var ent rawMemoEntry
-			if json.Unmarshal(data, &ent) == nil && ent.Schema == cacheSchema && ent.Key == key &&
-				json.Unmarshal(ent.Value, out) == nil {
-				memo.mem.Store(key, ent)
-				memo.hits.Add(1)
-				return true
-			}
-		}
-	}
-	memo.misses.Add(1)
-	return false
-}
-
-// memoStoreJSON records a freshly computed non-Measure cell.
-func memoStoreJSON(key string, v any) {
-	if !memo.enabled.Load() {
-		return
-	}
-	value, err := json.Marshal(v)
-	if err != nil {
-		return
-	}
-	ent := rawMemoEntry{Schema: cacheSchema, Key: key, Value: value}
-	memo.mem.Store(key, ent)
-	if data, err := json.Marshal(&ent); err == nil {
-		writeEntryFile(key, data)
 	}
 }

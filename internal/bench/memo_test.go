@@ -1,9 +1,15 @@
 package bench
 
 import (
+	"encoding/json"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
+	"repro/internal/coll/hier"
+	"repro/internal/coll/tuned"
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/topology"
 	"repro/internal/tune"
@@ -24,16 +30,15 @@ func TestCacheHitByteIdentical(t *testing.T) {
 	m := topology.Dancer()
 	cfg := memoTestConfig(m, 64*KiB)
 
-	DisableCache()
-	fresh := MustMeasure(cfg)
+	r := NewRunner()
+	fresh := r.MustMeasure(cfg)
 
-	if err := EnableCache(""); err != nil {
+	if err := r.EnableCache(""); err != nil {
 		t.Fatal(err)
 	}
-	defer DisableCache()
-	first := MustMeasure(cfg)
-	second := MustMeasure(cfg)
-	if hits, misses := CacheCounts(); hits != 1 || misses != 1 {
+	first := r.MustMeasure(cfg)
+	second := r.MustMeasure(cfg)
+	if hits, misses := r.CacheCounts(); hits != 1 || misses != 1 {
 		t.Fatalf("counts = %d hits, %d misses; want 1, 1", hits, misses)
 	}
 	for _, r := range []Result{first, second} {
@@ -52,18 +57,18 @@ func TestCacheDiskRoundTrip(t *testing.T) {
 	cfg := memoTestConfig(m, 64*KiB)
 	dir := t.TempDir()
 
-	if err := EnableCache(dir); err != nil {
+	r := NewRunner()
+	if err := r.EnableCache(dir); err != nil {
 		t.Fatal(err)
 	}
-	fresh := MustMeasure(cfg)
-	DisableCache() // clears the in-memory layer, keeps disk
+	fresh := r.MustMeasure(cfg)
+	r.DisableCache() // drops the in-memory layer, keeps disk
 
-	if err := EnableCache(dir); err != nil {
+	if err := r.EnableCache(dir); err != nil {
 		t.Fatal(err)
 	}
-	defer DisableCache()
-	replay := MustMeasure(cfg)
-	if hits, misses := CacheCounts(); hits != 1 || misses != 0 {
+	replay := r.MustMeasure(cfg)
+	if hits, misses := r.CacheCounts(); hits != 1 || misses != 0 {
 		t.Fatalf("counts = %d hits, %d misses; want disk hit with no miss", hits, misses)
 	}
 	if replay.Seconds != fresh.Seconds || !reflect.DeepEqual(replay.Stats, fresh.Stats) {
@@ -131,24 +136,110 @@ func TestCacheParallelSweep(t *testing.T) {
 		}
 	}
 
-	DisableCache()
-	want := MeasureAll(cfgs)
+	want := NewRunner().MeasureAll(cfgs)
 
-	if err := EnableCache(t.TempDir()); err != nil {
+	r := NewRunner()
+	if err := r.EnableCache(t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
-	defer DisableCache()
-	SetParallel(4)
-	defer SetParallel(1)
-	got := MeasureAll(cfgs)
+	r.SetParallel(4)
+	got := r.MeasureAll(cfgs)
 	for i := range want {
 		if got[i].Seconds != want[i].Seconds || !reflect.DeepEqual(got[i].Stats, want[i].Stats) {
 			t.Fatalf("cell %d diverges under parallel cached sweep: %v vs %v",
 				i, got[i].Seconds, want[i].Seconds)
 		}
 	}
-	hits, misses := CacheCounts()
+	hits, misses := r.CacheCounts()
 	if hits+misses != int64(len(cfgs)) || misses < 2 {
 		t.Fatalf("counts = %d hits, %d misses over %d cells", hits, misses, len(cfgs))
+	}
+}
+
+// TestCfgKeysCoverEveryField guards the hand-written component keys: for
+// every field of core.Config, tuned.Config and hier.Config, found by
+// reflection, a non-default value must either change the key or, for the
+// hooks no string can encode (deciders, fallbacks), empty it so the cell is
+// never cached. A new field the key misses fails here instead of silently
+// aliasing cache entries. Values avoid every default because hierCfgKey
+// normalises defaults.
+func TestCfgKeysCoverEveryField(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  any // pointer to a zero Config
+		key  func(cfg any) string
+	}{
+		{"core", &core.Config{}, func(c any) string { return coreCfgKey(*c.(*core.Config)) }},
+		{"tuned", &tuned.Config{}, func(c any) string { return tunedCfgKey("Tuned-SM", *c.(*tuned.Config)) }},
+		{"hier", &hier.Config{}, func(c any) string { return hierCfgKey(*c.(*hier.Config)) }},
+	}
+	for _, tc := range cases {
+		base := tc.key(tc.cfg)
+		if base == "" {
+			t.Fatalf("%s: zero config has no key", tc.name)
+		}
+		typ := reflect.TypeOf(tc.cfg).Elem()
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			cfg := reflect.New(typ)
+			v := cfg.Elem().Field(i)
+			wantEmpty := false
+			switch f.Type.Kind() {
+			case reflect.Int, reflect.Int64:
+				v.SetInt(12345)
+			case reflect.Bool:
+				v.SetBool(true)
+			case reflect.String:
+				v.SetString("probe")
+			case reflect.Pointer:
+				v.Set(reflect.New(f.Type.Elem()))
+				wantEmpty = true
+			case reflect.Func:
+				v.Set(reflect.MakeFunc(f.Type, func([]reflect.Value) []reflect.Value { return nil }))
+				wantEmpty = true
+			default:
+				t.Fatalf("%s.%s: no probe value for kind %s; extend this test", tc.name, f.Name, f.Type.Kind())
+			}
+			got := tc.key(cfg.Interface())
+			switch {
+			case wantEmpty && got != "":
+				t.Errorf("%s.%s set: key %q, want \"\" (not canonically encodable)", tc.name, f.Name, got)
+			case !wantEmpty && (got == "" || got == base):
+				t.Errorf("%s.%s set: key %q unchanged from the zero config's; the field is not keyed", tc.name, f.Name, got)
+			}
+		}
+	}
+}
+
+// TestEntryFileFormat pins the on-disk layout of both entry kinds, so
+// cache directories written by earlier builds keep being served.
+func TestEntryFileFormat(t *testing.T) {
+	m := &memo{dir: t.TempDir()}
+	put(m, "cell", memoEntry{Seconds: 0.25})
+	put(m, "table1", rawMemoEntry{Value: json.RawMessage(`{"bcast_seconds":1.5,"total_seconds":2}`)})
+	read := func(key string) string {
+		data, err := os.ReadFile(entryPath(m.dir, key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	if got, want := read("cell"), `{"schema":"simcache/v1","key":"cell","seconds":0.25,"stats":{`; !strings.HasPrefix(got, want) {
+		t.Errorf("Measure entry = %s, want prefix %s", got, want)
+	}
+	if got, want := read("table1"), `{"schema":"simcache/v1","key":"table1","value":{"bcast_seconds":1.5,"total_seconds":2}}`+"\n"; got != want {
+		t.Errorf("Table I entry = %q, want %q", got, want)
+	}
+	// A fresh memo over the directory reads both back; a missing key is a
+	// miss.
+	fresh := &memo{dir: m.dir}
+	if ent, ok := peek[memoEntry](fresh, "cell"); !ok || ent.Seconds != 0.25 {
+		t.Errorf("Measure entry read back as %+v, %v", ent, ok)
+	}
+	if ent, ok := peek[rawMemoEntry](fresh, "table1"); !ok || string(ent.Value) != `{"bcast_seconds":1.5,"total_seconds":2}` {
+		t.Errorf("Table I entry read back as %+v, %v", ent, ok)
+	}
+	if _, ok := peek[rawMemoEntry](&memo{dir: m.dir}, "missing"); ok {
+		t.Error("missing key served")
 	}
 }

@@ -23,9 +23,9 @@ type Scalability struct {
 }
 
 // RunScalability sweeps rank counts on machine m for one operation. The
-// comps × ranks cells run on the shared worker pool (SetParallel) and are
-// assembled in deterministic order.
-func RunScalability(m *topology.Machine, op Op, size int64, ranks []int, comps []Comp, iters int) Scalability {
+// comps × ranks cells run on the runner's worker pool (SetParallel) and
+// are assembled in deterministic order.
+func (r *Runner) RunScalability(m *topology.Machine, op Op, size int64, ranks []int, comps []Comp, iters int) Scalability {
 	s := Scalability{
 		Machine: m.Name, Op: op, Size: size, Ranks: ranks,
 		Seconds: make(map[string]map[int]float64),
@@ -39,7 +39,7 @@ func RunScalability(m *topology.Machine, op Op, size int64, ranks []int, comps [
 			})
 		}
 	}
-	results := MeasureAll(cfgs)
+	results := r.MeasureAll(cfgs)
 	for i, c := range comps {
 		s.order = append(s.order, c.Name)
 		s.Seconds[c.Name] = make(map[int]float64)

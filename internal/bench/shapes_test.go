@@ -14,7 +14,7 @@ import (
 
 func measure(t *testing.T, m *topology.Machine, c Comp, op Op, size int64) float64 {
 	t.Helper()
-	r, err := Measure(Config{Machine: m, Comp: c, Op: op, Size: size, Iters: 1, OffCache: true})
+	r, err := Default.Measure(Config{Machine: m, Comp: c, Op: op, Size: size, Iters: 1, OffCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestTable1Shape(t *testing.T) {
 		m *topology.Machine
 		n int
 	}{{topology.Zoot(), 16384}, {topology.IG(), 32768}} {
-		res := RunTable1(job.m, job.n, 64)
+		res := Default.RunTable1(job.m, job.n, 64)
 		knem := res.Rows[len(res.Rows)-1]
 		for _, row := range res.Rows[:len(res.Rows)-1] {
 			wantFaster(t, res.Machine+" ASP bcast vs "+row.Comp, row.Bcast, knem.Bcast, 1.8)
@@ -156,11 +156,11 @@ func TestTable1Shape(t *testing.T) {
 // cache, max-over-ranks must dominate, and stats must accumulate.
 func TestMeasureProtocol(t *testing.T) {
 	m := topology.Dancer()
-	warm, err := Measure(Config{Machine: m, Comp: KNEMColl(), Op: OpBcast, Size: 1 * MiB, Iters: 2})
+	warm, err := Default.Measure(Config{Machine: m, Comp: KNEMColl(), Op: OpBcast, Size: 1 * MiB, Iters: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Measure(Config{Machine: m, Comp: KNEMColl(), Op: OpBcast, Size: 1 * MiB, Iters: 2, OffCache: true})
+	cold, err := Default.Measure(Config{Machine: m, Comp: KNEMColl(), Op: OpBcast, Size: 1 * MiB, Iters: 2, OffCache: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestAllOpsRunOnAllComponents(t *testing.T) {
 	m := topology.Dancer()
 	for _, c := range append(PaperComponents(), BasicSM(), SMColl()) {
 		for _, op := range []Op{OpBcast, OpGather, OpScatter, OpAllgather, OpAlltoall, OpAlltoallv, OpBarrier} {
-			if _, err := Measure(Config{Machine: m, Comp: c, Op: op, Size: 64 * KiB, Iters: 1}); err != nil {
+			if _, err := Default.Measure(Config{Machine: m, Comp: c, Op: op, Size: 64 * KiB, Iters: 1}); err != nil {
 				t.Errorf("%s/%s: %v", c.Name, op, err)
 			}
 		}
@@ -206,7 +206,7 @@ func TestAllOpsRunOnAllComponents(t *testing.T) {
 // by a much smaller factor.
 func TestScalabilityShape(t *testing.T) {
 	m := topology.IG()
-	s := RunScalability(m, OpBcast, 1*MiB, []int{2, 8, 48},
+	s := Default.RunScalability(m, OpBcast, 1*MiB, []int{2, 8, 48},
 		[]Comp{TunedSM(), KNEMColl()}, 1)
 	gTuned := s.Growth("Tuned-SM")
 	gKnem := s.Growth("KNEM-Coll")

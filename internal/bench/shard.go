@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"sync"
-
 	"repro/internal/memsim"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -18,8 +16,8 @@ import (
 // and Net.Reset restore observably-fresh state (same timestamps, same
 // sequence numbers, bit-identical runs) while keeping every pool, so the
 // arenas are sized in the worker's first cell and reused for the rest of
-// the sweep. Shards are taken from a pool sized by demand: concurrent
-// cells never share one, so results are byte-identical at every
+// the sweep. Each Runner keeps its own pool, sized by demand: concurrent
+// cells never share a shard, so results are byte-identical at every
 // -parallel level.
 
 type shard struct {
@@ -27,14 +25,10 @@ type shard struct {
 	nets map[*topology.Machine]*memsim.Net
 }
 
-var shardPool = sync.Pool{New: func() any {
-	return &shard{eng: sim.NewEngine(), nets: map[*topology.Machine]*memsim.Net{}}
-}}
-
-// ShardStats is the high-water resident footprint of the measurement
-// shards, aggregated at release time: how many cells pooled shards have
-// served and the largest arena any shard has grown — the daemon's
-// per-shard resident cost, surfaced in GET /v1/stats.
+// ShardStats is the high-water resident footprint of a runner's
+// measurement shards, aggregated at release time: how many cells pooled
+// shards have served and the largest arena any shard has grown — the
+// daemon's per-shard resident cost, surfaced in GET /v1/stats.
 type ShardStats struct {
 	Leases       int64 `json:"leases"`
 	ArenaBytes   int64 `json:"arena_bytes_high_water"`
@@ -42,40 +36,35 @@ type ShardStats struct {
 	ArenaObjects int64 `json:"arena_slab_objects_high_water"`
 }
 
-var (
-	shardStatsMu sync.Mutex
-	shardStats   ShardStats
-)
-
-// Shards returns the pool's aggregated high-water statistics.
-func Shards() ShardStats {
-	shardStatsMu.Lock()
-	defer shardStatsMu.Unlock()
-	return shardStats
+// Shards returns the runner's aggregated shard high-water statistics.
+func (r *Runner) Shards() ShardStats {
+	r.shardMu.Lock()
+	defer r.shardMu.Unlock()
+	return r.shardStats
 }
 
 // acquireShard leases a warmed shard (or builds the pool's next one).
-func acquireShard() *shard { return shardPool.Get().(*shard) }
+func (r *Runner) acquireShard() *shard {
+	if s, ok := r.shards.Get().(*shard); ok {
+		return s
+	}
+	return &shard{eng: sim.NewEngine(), nets: map[*topology.Machine]*memsim.Net{}}
+}
 
 // releaseShard returns a shard after its cell completes. The state left
 // behind is dirty; lease resets it on next use. The shard's arena
 // footprint — at its post-cell peak, before any rewind — folds into the
-// pool-wide high-water stats here.
-func releaseShard(s *shard) {
+// runner's high-water stats here.
+func (r *Runner) releaseShard(s *shard) {
 	a := s.eng.Arena().Stats()
-	shardStatsMu.Lock()
-	shardStats.Leases++
-	if a.Bytes > shardStats.ArenaBytes {
-		shardStats.ArenaBytes = a.Bytes
-	}
-	if a.Pools > shardStats.ArenaPools {
-		shardStats.ArenaPools = a.Pools
-	}
-	if a.Objects > shardStats.ArenaObjects {
-		shardStats.ArenaObjects = a.Objects
-	}
-	shardStatsMu.Unlock()
-	shardPool.Put(s)
+	r.shardMu.Lock()
+	st := &r.shardStats
+	st.Leases++
+	st.ArenaBytes = max(st.ArenaBytes, a.Bytes)
+	st.ArenaPools = max(st.ArenaPools, a.Pools)
+	st.ArenaObjects = max(st.ArenaObjects, a.Objects)
+	r.shardMu.Unlock()
+	r.shards.Put(s)
 }
 
 // lease readies the shard for one cell on machine m: the engine is reset,

@@ -13,7 +13,7 @@ import (
 // return bit-identical timings and counters, sequentially and under a
 // parallel sweep. The cache is kept off so every cell truly simulates.
 func TestShardReuseBitIdentical(t *testing.T) {
-	DisableCache()
+	r := NewRunner()
 	cfg := Config{
 		Machine: topology.IG(),
 		Comp:    KNEMColl(),
@@ -21,9 +21,9 @@ func TestShardReuseBitIdentical(t *testing.T) {
 		Size:    256 * KiB,
 		Iters:   1,
 	}
-	want := MustMeasure(cfg)
+	want := r.MustMeasure(cfg)
 	for i := 0; i < 3; i++ {
-		got := MustMeasure(cfg)
+		got := r.MustMeasure(cfg)
 		if got.Seconds != want.Seconds {
 			t.Fatalf("rerun %d: %.17g s, first run %.17g s", i, got.Seconds, want.Seconds)
 		}
@@ -41,11 +41,9 @@ func TestShardReuseBitIdentical(t *testing.T) {
 		{Machine: topology.IG(), Comp: MPICH2KNEM(), Op: OpScatter, Size: 128 * KiB, Iters: 1},
 		cfg,
 	}
-	seq := MeasureAll(cfgs)
-	old := Parallel()
-	SetParallel(4)
-	par := MeasureAll(cfgs)
-	SetParallel(old)
+	seq := r.MeasureAll(cfgs)
+	r.SetParallel(4)
+	par := r.MeasureAll(cfgs)
 	for i := range seq {
 		if seq[i].Seconds != par[i].Seconds || !reflect.DeepEqual(seq[i].Stats, par[i].Stats) {
 			t.Fatalf("cell %d: parallel run diverged from sequential: %.17g vs %.17g",
@@ -63,7 +61,7 @@ func TestShardReuseBitIdentical(t *testing.T) {
 // bit. The per-cell subtests run in parallel, so under -race they also
 // show that concurrent cluster cells share no simulator state.
 func TestClusterShardReuseBitIdentical(t *testing.T) {
-	DisableCache()
+	r := NewRunner()
 	cl := syntheticCluster(t, 3)
 	cell := func(op Op, size int64) Config {
 		return Config{Machine: cl.Global, Comp: Hier(cl), Op: op, Size: size, Iters: 2, OffCache: true}
@@ -80,11 +78,9 @@ func TestClusterShardReuseBitIdentical(t *testing.T) {
 			{Machine: topology.Dancer(), Comp: TunedKNEM(), Op: OpAllgather, Size: 16 * KiB, Iters: 1},
 			cell(OpBcast, 32*KiB),
 		}
-		seq := MeasureAll(cfgs)
-		old := Parallel()
-		SetParallel(2)
-		par := MeasureAll(cfgs)
-		SetParallel(old)
+		seq := r.MeasureAll(cfgs)
+		r.SetParallel(2)
+		par := r.MeasureAll(cfgs)
 		for i := range seq {
 			if seq[i].Seconds != par[i].Seconds || !reflect.DeepEqual(seq[i].Stats, par[i].Stats) {
 				t.Fatalf("cell %d: parallel run diverged from sequential:\nparallel:   %.17g %s\nsequential: %.17g %s",
@@ -110,12 +106,12 @@ func TestClusterShardReuseBitIdentical(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			cfg := cell(c.op, c.size)
-			want, err := MeasureForced(context.Background(), cfg, false)
+			want, err := r.MeasureForced(context.Background(), cfg, false)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := 0; i < 2; i++ {
-				got, err := MeasureForced(context.Background(), cfg, false)
+				got, err := r.MeasureForced(context.Background(), cfg, false)
 				if err != nil {
 					t.Fatalf("rerun %d: %v", i, err)
 				}

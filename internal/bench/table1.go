@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 
@@ -56,23 +58,27 @@ type table1Cell struct {
 // RunTable1 reproduces one machine of Table I: ASP at matrix dimension n
 // (paper: 16384 on Zoot, 32768 on IG), with sample iterations simulated
 // and scaled (sample <= 0 simulates every iteration). Cells go through the
-// same run memoization as Measure (see memo.go): the application runs are
-// deterministic, so a repeated `asp` invocation is served from the cache.
-func RunTable1(m *topology.Machine, n, sample int) Table1Result {
+// runner's run memoization like Measure's (see memo.go): the application
+// runs are deterministic, so a repeated `asp` invocation is served from
+// the cache. It panics if a run fails.
+func (r *Runner) RunTable1(m *topology.Machine, n, sample int) Table1Result {
 	res := Table1Result{Machine: m.Name, N: n, NP: m.NCores()}
 	comps := table1Comps()
 	res.Rows = make([]Table1Row, len(comps))
-	runCells(len(comps), func(i int) {
+	cache := r.memo.Load()
+	err := r.runCellsCtx(context.Background(), len(comps), func(i int) error {
 		c := comps[i]
 		var key string
-		if c.Key != "" {
+		if cache != nil && c.Key != "" {
 			key = fmt.Sprintf("%s|%s|table1|m=%s|comp=%s|btl=%d|knemmin=%d|n=%d|sample=%d|seed=11",
 				cacheSchema, simFingerprint, tune.Fingerprint(m), c.Key, c.BTL, c.KnemMin, n, sample)
 			var cell table1Cell
-			if memoLookupJSON(key, &cell) {
+			if ent, ok := peek[rawMemoEntry](cache, key); ok && json.Unmarshal(ent.Value, &cell) == nil {
+				r.hits.Add(1)
 				res.Rows[i] = Table1Row{Comp: c.Name, Bcast: cell.Bcast, Total: cell.Total}
-				return
+				return nil
 			}
+			r.misses.Add(1)
 		}
 		var bcast, total float64
 		_, _, err := mpi.Run(mpi.Options{
@@ -90,13 +96,19 @@ func RunTable1(m *topology.Machine, n, sample int) Table1Result {
 			}
 		})
 		if err != nil {
-			panic(fmt.Sprintf("bench: table1 %s/%s: %v", m.Name, c.Name, err))
+			return fmt.Errorf("bench: table1 %s/%s: %v", m.Name, c.Name, err)
 		}
 		if key != "" {
-			memoStoreJSON(key, table1Cell{Bcast: bcast, Total: total})
+			if value, err := json.Marshal(table1Cell{Bcast: bcast, Total: total}); err == nil {
+				put(cache, key, rawMemoEntry{Value: value})
+			}
 		}
 		res.Rows[i] = Table1Row{Comp: c.Name, Bcast: bcast, Total: total}
+		return nil
 	})
+	if err != nil {
+		panic(err)
+	}
 	bestBcast, bestTotal := res.Rows[0].Bcast, res.Rows[0].Total
 	for _, row := range res.Rows[:len(res.Rows)-1] {
 		if row.Bcast < bestBcast {

@@ -12,8 +12,8 @@
 // are reproducible for a fixed seed and workload. The injector never reads
 // wall-clock time or global randomness.
 //
-// Layering: this package depends only on trace and sim, so the layers it
-// instruments (knem, memsim, mpi, core) can import it without cycles.
+// Layering: this package depends only on trace, sim and topology, so the
+// layers it instruments (knem, memsim, mpi, core) can import it without cycles.
 // knem consults the injector inside Create/Copy/CopyDMA, memsim consults
 // it for link bandwidth scaling, and the collective component consults it
 // for retry policy and straggler delays.
@@ -21,9 +21,12 @@ package fault
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 
 	"repro/internal/sim"
+	"repro/internal/topology"
 	"repro/internal/trace"
 )
 
@@ -94,6 +97,30 @@ func (p *Plan) Empty() bool {
 			p.DMAFailEvery == 0 && p.DMAStallEvery == 0 &&
 			len(p.LinkSlowdown) == 0 && len(p.Straggler) == 0 &&
 			len(p.LeaderDown) == 0)
+}
+
+// CheckLinks rejects a plan whose LinkSlowdown names a link m does not
+// have, or scales one outside (0, 1]: a misspelt name or a scale the
+// solver cannot use would otherwise leave the run silently undegraded.
+// Names are checked in sorted order, so the error is deterministic. A nil
+// plan passes.
+func (p *Plan) CheckLinks(m *topology.Machine) error {
+	if p == nil || len(p.LinkSlowdown) == 0 {
+		return nil
+	}
+	known := make(map[string]bool, len(m.Links))
+	for _, l := range m.Links {
+		known[l.Name] = true
+	}
+	for _, name := range slices.Sorted(maps.Keys(p.LinkSlowdown)) {
+		if !known[name] {
+			return fmt.Errorf("unknown link %q on machine %s", name, m.Name)
+		}
+		if s := p.LinkSlowdown[name]; !(s > 0 && s <= 1) {
+			return fmt.Errorf("scale for link %q must be in (0, 1], got %g", name, s)
+		}
+	}
+	return nil
 }
 
 // Outcome is the injector's verdict on one module call.
@@ -241,9 +268,10 @@ func (in *Injector) DMA() (stall float64, failed bool) {
 }
 
 // LinkScale returns the bandwidth multiplier for the named link (1 when
-// the plan leaves it alone). memsim consults this once per link.
+// the plan leaves it alone). memsim consults this once per link. Scales
+// are taken as given: Plan.CheckLinks is what rejects one outside (0, 1].
 func (in *Injector) LinkScale(name string) float64 {
-	if f, ok := in.plan.LinkSlowdown[name]; ok && f > 0 && f <= 1 {
+	if f, ok := in.plan.LinkSlowdown[name]; ok {
 		return f
 	}
 	return 1

@@ -143,8 +143,10 @@ func TestLinkScaleAndStraggler(t *testing.T) {
 	if in.LinkScale("qpi") != 0.25 {
 		t.Fatalf("qpi scale = %g", in.LinkScale("qpi"))
 	}
-	if in.LinkScale("bogus") != 1 || in.LinkScale("other") != 1 {
-		t.Fatal("out-of-range or unknown link not clamped to 1")
+	// Scales pass through as given (Plan.CheckLinks rejects 7 before a
+	// run); a link the plan leaves alone runs at full bandwidth.
+	if in.LinkScale("bogus") != 7 || in.LinkScale("other") != 1 {
+		t.Fatalf("bogus scale = %g, other scale = %g; want 7 and 1", in.LinkScale("bogus"), in.LinkScale("other"))
 	}
 	if in.Straggle(3) != 2e-3 || in.Straggle(0) != 0 {
 		t.Fatal("straggler lookup wrong")

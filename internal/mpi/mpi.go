@@ -166,6 +166,9 @@ func NewWorld(opts Options) (*World, error) {
 	if opts.Mapping != nil && len(opts.Mapping) != opts.NP {
 		return nil, fmt.Errorf("mpi: mapping length %d != NP %d", len(opts.Mapping), opts.NP)
 	}
+	if err := opts.Fault.CheckLinks(opts.Machine); err != nil {
+		return nil, fmt.Errorf("mpi: fault plan: %w", err)
+	}
 	if (opts.Engine == nil) != (opts.Net == nil) {
 		return nil, fmt.Errorf("mpi: Engine and Net must be provided together")
 	}

@@ -40,9 +40,10 @@ type Options struct {
 	// the machine, so every cell on it shares one memory-system net per
 	// measurement shard.
 	Machines func(name string) *topology.Machine
-	// Decisions backs GET /v1/decisions and steers measured cells exactly
-	// like imb -decisions (tables apply to matching machines).
-	Decisions *tune.Set
+	// Runner measures the server's cells: its memo, decision set (which
+	// backs GET /v1/decisions and steers cells exactly like imb
+	// -decisions), counters and shard pool. Nil means bench.Default.
+	Runner *bench.Runner
 	// LRUSize bounds the in-memory serving cache, in cells (default 4096).
 	LRUSize int
 	// Workers caps concurrently simulating cells server-wide (default
@@ -70,10 +71,6 @@ type Server struct {
 	histBatch hist // whole POST /v1/cells requests
 	histCell  hist // every served cell (hits and simulations alike)
 	histSim   hist // cells that reached the runner (LRU misses)
-
-	// The bench memo counters are process-wide; /v1/stats reports their
-	// growth since this server started.
-	simHits0, simMisses0, simDeduped0 int64
 }
 
 // memoMachines wraps resolve so each name is built once. Only known names
@@ -105,6 +102,9 @@ func memoMachines(resolve func(string) *topology.Machine) func(string) *topology
 
 // New builds a Server.
 func New(opts Options) *Server {
+	if opts.Runner == nil {
+		opts.Runner = bench.Default
+	}
 	if opts.Machines == nil {
 		opts.Machines = topology.ByName
 	}
@@ -124,8 +124,6 @@ func New(opts Options) *Server {
 		sem:   make(chan struct{}, opts.Workers),
 		start: time.Now(),
 	}
-	s.simHits0, s.simMisses0 = bench.CacheCounts()
-	s.simDeduped0 = bench.DedupedCount()
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("POST /v1/cells", s.handleCells)
 	s.mux.HandleFunc("POST /v1/sweep", s.handleSweep)
@@ -229,7 +227,7 @@ type CacheStats struct {
 	LRULen     int     `json:"lru_len"`
 	LRUCap     int     `json:"lru_cap"`
 	HitRate    float64 `json:"hit_rate"` // LRU + memo hits over all cells
-	SimHits    int64   `json:"sim_hits"` // bench memo layer (memory + disk)
+	SimHits    int64   `json:"sim_hits"` // the runner's memo layer (memory + disk)
 	SimMisses  int64   `json:"sim_misses"`
 	SimDeduped int64   `json:"sim_deduped"` // singleflight waits
 }
@@ -336,7 +334,7 @@ func (s *Server) evalCell(ctx context.Context, cfg bench.Config) (float64, error
 		s.inflight.Add(-1)
 		s.histCell.observe(time.Since(t0))
 	}()
-	key, keyed := bench.CellKey(cfg)
+	key, keyed := s.opts.Runner.CellKey(cfg)
 	if keyed {
 		if secs, ok := s.store.get(key); ok {
 			return secs, nil
@@ -348,7 +346,7 @@ func (s *Server) evalCell(ctx context.Context, cfg bench.Config) (float64, error
 		return 0, ctx.Err()
 	}
 	tSim := time.Now()
-	res, err := bench.MeasureCtx(ctx, cfg)
+	res, err := s.opts.Runner.MeasureCtx(ctx, cfg)
 	<-s.sem
 	s.histSim.observe(time.Since(tSim))
 	if err != nil {
@@ -519,7 +517,7 @@ func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 		size = n
 	}
 	resp := DecisionResponse{Machine: m.Name, Op: op, NP: np, Size: size}
-	if d := s.opts.Decisions.For(m); d != nil {
+	if d := s.opts.Runner.Decisions().For(m); d != nil {
 		if cell, ok := d.Lookup(op, np, size); ok {
 			resp.Found, resp.Cell = true, &cell
 		}
@@ -530,9 +528,7 @@ func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 // handleStats is GET /v1/stats.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	lruHits, lruMisses := s.store.counts()
-	simHits, simMisses := bench.CacheCounts()
-	simHits -= s.simHits0
-	simMisses -= s.simMisses0
+	simHits, simMisses := s.opts.Runner.CacheCounts()
 	cells := s.histCell.total.Load()
 	resp := StatsResponse{
 		UptimeSeconds: time.Since(s.start).Seconds(),
@@ -543,9 +539,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Cache: CacheStats{
 			LRUHits: lruHits, LRUMisses: lruMisses,
 			LRULen: s.store.len(), LRUCap: s.opts.LRUSize,
-			SimHits: simHits, SimMisses: simMisses, SimDeduped: bench.DedupedCount() - s.simDeduped0,
+			SimHits: simHits, SimMisses: simMisses, SimDeduped: s.opts.Runner.DedupedCount(),
 		},
-		Shards:       bench.Shards(),
+		Shards:       s.opts.Runner.Shards(),
 		BatchLatency: s.histBatch.stats(),
 		CellLatency:  s.histCell.stats(),
 		SimLatency:   s.histSim.stats(),

@@ -30,8 +30,13 @@ func testBatch() BatchRequest {
 	}
 }
 
+// newTestServer starts a server on opts, with a private runner (memo off)
+// unless opts names one, so no test sees another's cache or counters.
 func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 	t.Helper()
+	if opts.Runner == nil {
+		opts.Runner = bench.NewRunner()
+	}
 	s := New(opts)
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
@@ -43,11 +48,11 @@ func newTestServer(t *testing.T, opts Options) (*Server, *httptest.Server) {
 // byte-identical bodies every time, and the second round is served
 // entirely from cache (no cell reaches the simulation runner).
 func TestBatchDeterministicAcrossConcurrency(t *testing.T) {
-	if err := bench.EnableCache(t.TempDir()); err != nil {
+	r := bench.NewRunner()
+	if err := r.EnableCache(t.TempDir()); err != nil {
 		t.Fatal(err)
 	}
-	defer bench.DisableCache()
-	s, ts := newTestServer(t, Options{})
+	s, ts := newTestServer(t, Options{Runner: r})
 
 	ctx := context.Background()
 	first, err := Load(ctx, LoadOptions{BaseURL: ts.URL, Request: testBatch(), Concurrency: 6, Repetitions: 2})
@@ -94,7 +99,6 @@ func TestBatchDeterministicAcrossConcurrency(t *testing.T) {
 // TestBatchMatchesMeasure pins the serving path to the library: every
 // served seconds value equals a direct bench.Measure of the same cell.
 func TestBatchMatchesMeasure(t *testing.T) {
-	bench.DisableCache()
 	_, ts := newTestServer(t, Options{})
 	body, err := postCells(context.Background(), http.DefaultClient, ts.URL, mustJSON(t, testBatch()))
 	if err != nil {
@@ -107,7 +111,7 @@ func TestBatchMatchesMeasure(t *testing.T) {
 	m := topology.ByName("Zoot")
 	comps := compsByName()
 	for i, c := range testBatch().Cells {
-		want := bench.MustMeasure(bench.Config{
+		want := bench.NewRunner().MustMeasure(bench.Config{
 			Machine: m, NP: c.NP, Comp: comps[strings.ToLower(c.Comp)],
 			Op: bench.Op(c.Op), Size: c.Size, Iters: c.Iters,
 		})
@@ -121,7 +125,6 @@ func TestBatchMatchesMeasure(t *testing.T) {
 // order, deterministic contents matching the batch endpoint) plus a final
 // done line.
 func TestSweepStreams(t *testing.T) {
-	bench.DisableCache()
 	_, ts := newTestServer(t, Options{})
 	req := testBatch()
 
@@ -184,7 +187,9 @@ func TestDecisionsEndpoint(t *testing.T) {
 	table.Sort()
 	set := tune.NewSet()
 	set.Add(table)
-	_, ts := newTestServer(t, Options{Decisions: set})
+	r := bench.NewRunner()
+	r.SetDecisions(set)
+	_, ts := newTestServer(t, Options{Runner: r})
 
 	var resp DecisionResponse
 	getJSON(t, ts.URL+"/v1/decisions?machine=IG&op=bcast&np=48&size=65536", &resp)
@@ -252,7 +257,6 @@ func TestValidation(t *testing.T) {
 
 // TestStatsEndpoint sanity-checks the counters after known traffic.
 func TestStatsEndpoint(t *testing.T) {
-	bench.DisableCache()
 	_, ts := newTestServer(t, Options{LRUSize: 64})
 	body := mustJSON(t, testBatch())
 	if _, err := postCells(context.Background(), http.DefaultClient, ts.URL, body); err != nil {
@@ -282,11 +286,44 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 }
 
+// TestStatsPerRunner: two servers on distinct runners, both with the memo
+// on, and one batch sent to the second only. Each server reports only its
+// own runner's traffic, so the first reports none of it and the second's
+// hit rate is a plain ratio of its own cells.
+func TestStatsPerRunner(t *testing.T) {
+	var urls [2]string
+	for i := range urls {
+		r := bench.NewRunner()
+		if err := r.EnableCache(t.TempDir()); err != nil {
+			t.Fatal(err)
+		}
+		_, ts := newTestServer(t, Options{Runner: r})
+		urls[i] = ts.URL
+	}
+	if _, err := postCells(context.Background(), http.DefaultClient, urls[1], mustJSON(t, testBatch())); err != nil {
+		t.Fatal(err)
+	}
+	var idle, busy StatsResponse
+	getJSON(t, urls[0]+"/v1/stats", &idle)
+	getJSON(t, urls[1]+"/v1/stats", &busy)
+	if c := idle.Cache; c.SimHits != 0 || c.SimMisses != 0 || c.SimDeduped != 0 || idle.Shards.Leases != 0 {
+		t.Fatalf("idle server reports traffic it never served: sim_hits=%d sim_misses=%d sim_deduped=%d shards.leases=%d",
+			c.SimHits, c.SimMisses, c.SimDeduped, idle.Shards.Leases)
+	}
+	n := int64(len(testBatch().Cells))
+	if c := busy.Cache; c.SimHits != 0 || c.SimMisses != n || busy.Shards.Leases != n {
+		t.Fatalf("busy server: sim_hits=%d sim_misses=%d shards.leases=%d, want 0, %d, %d",
+			c.SimHits, c.SimMisses, busy.Shards.Leases, n, n)
+	}
+	if busy.Cache.HitRate != 0 {
+		t.Fatalf("busy server hit rate %v, want 0 (every cell simulated once)", busy.Cache.HitRate)
+	}
+}
+
 // TestClientDisconnectMidBatch cancels a request while its cells simulate;
 // the server must stay healthy and a follow-up request must succeed with
 // correct results (the aborted cells released their engine shards).
 func TestClientDisconnectMidBatch(t *testing.T) {
-	bench.DisableCache()
 	_, ts := newTestServer(t, Options{})
 	req := BatchRequest{Machine: "IG", Cells: []CellSpec{
 		{Comp: "KNEM-Coll", Op: "alltoall", Size: 1 << 20, Iters: 2},
@@ -310,7 +347,7 @@ func TestClientDisconnectMidBatch(t *testing.T) {
 	if err := json.Unmarshal(body, &resp); err != nil {
 		t.Fatal(err)
 	}
-	want := bench.MustMeasure(bench.Config{
+	want := bench.NewRunner().MustMeasure(bench.Config{
 		Machine: topology.ByName("Zoot"), NP: 4, Comp: bench.KNEMColl(),
 		Op: bench.OpBcast, Size: 4096, Iters: 1,
 	})

@@ -10,7 +10,7 @@ import (
 
 // store is the serving tier's bounded in-memory cell cache: a sharded LRU
 // keyed by the same content-addressed cell key the bench memo layer uses
-// (bench.CellKey), holding only the served payload (the cell's seconds).
+// (bench.Runner.CellKey), holding only the served payload (the cell's seconds).
 // It sits between the HTTP handlers and the runner — singleflight → LRU →
 // disk shards → runner — so a long-running daemon's hot set answers in
 // nanoseconds without the process growing with every cell it has ever

@@ -249,8 +249,9 @@ func compFor(ch tune.Choice, cl *topology.Cluster) bench.Comp {
 	panic("search: unknown component " + ch.Comp)
 }
 
-// Run executes the search and returns the validated decision table.
-func Run(o Options) (*tune.Table, error) {
+// Run executes the search on run's worker pool and memo, and returns the
+// validated decision table.
+func Run(run *bench.Runner, o Options) (*tune.Table, error) {
 	if err := o.fill(); err != nil {
 		return nil, err
 	}
@@ -268,7 +269,7 @@ func Run(o Options) (*tune.Table, error) {
 	}
 	for _, op := range o.Ops {
 		for _, np := range o.NPs {
-			cells, err := searchOpNP(o, op, np, sizes)
+			cells, err := searchOpNP(run, o, op, np, sizes)
 			if err != nil {
 				return nil, err
 			}
@@ -284,7 +285,7 @@ func Run(o Options) (*tune.Table, error) {
 
 // searchOpNP runs the two successive-halving rounds for one (op, np) pair
 // and builds its cells.
-func searchOpNP(o Options, op string, np int, sizes []int64) ([]tune.Cell, error) {
+func searchOpNP(run *bench.Runner, o Options, op string, np int, sizes []int64) ([]tune.Cell, error) {
 	cands := candidates(o.Machine, o.Cluster, op)
 	probes := probeSizes(sizes)
 
@@ -298,7 +299,7 @@ func searchOpNP(o Options, op string, np int, sizes []int64) ([]tune.Cell, error
 				})
 			}
 		}
-		res := bench.MeasureAll(cfgs)
+		res := run.MeasureAll(cfgs)
 		out := make([][]float64, len(cs))
 		for i := range cs {
 			out[i] = make([]float64, len(szs))

@@ -21,9 +21,9 @@ func TestSearchDeterministicAcrossParallel(t *testing.T) {
 		Sizes:   []int64{64 << 10, 1 << 20},
 	}
 	encode := func(parallel int) []byte {
-		bench.SetParallel(parallel)
-		defer bench.SetParallel(1)
-		tb, err := Run(o)
+		run := bench.NewRunner()
+		run.SetParallel(parallel)
+		tb, err := Run(run, o)
 		if err != nil {
 			t.Fatalf("search at parallel=%d: %v", parallel, err)
 		}
@@ -47,7 +47,8 @@ func TestSearchDeterministicAcrossParallel(t *testing.T) {
 // runtime Decider.
 func TestTunedAtLeastAsFastAsDefaults(t *testing.T) {
 	m := topology.ByName("Zoot")
-	tb, err := Run(Options{
+	run := bench.NewRunner()
+	tb, err := Run(run, Options{
 		Machine: m,
 		Sizes:   []int64{64 << 10, 1 << 20},
 	})
@@ -82,9 +83,9 @@ func TestTunedAtLeastAsFastAsDefaults(t *testing.T) {
 				Machine: m, NP: c.NP, Comp: comp, Op: bench.Op(c.Op),
 				Size: c.Size, Iters: 1, OffCache: true,
 			}
-			def := bench.MustMeasure(cfg)
+			def := run.MustMeasure(cfg)
 			cfg.Decider = dec
-			got := bench.MustMeasure(cfg)
+			got := run.MustMeasure(cfg)
 			t.Logf("%-10s %6d  %10.1fus %10.1fus  %s", c.Op, c.Size,
 				got.Seconds*1e6, def.Seconds*1e6, comp.Name)
 			if got.Seconds > def.Seconds*(1+1e-9) {
@@ -118,7 +119,7 @@ func TestFig4SegmentOptimaIG(t *testing.T) {
 			})
 		}
 	}
-	res := bench.MeasureAll(cfgs)
+	res := bench.NewRunner().MeasureAll(cfgs)
 	timeOf := func(si, zi int) float64 { return res[si*len(sizes)+zi].Seconds }
 	segIdx := func(want int64) int {
 		for i, s := range segs {
@@ -165,7 +166,7 @@ func TestSearchRejectsBadGrids(t *testing.T) {
 		{Machine: m, NPs: []int{m.NCores() + 1}},
 		{Machine: m, Sizes: []int64{0}},
 	} {
-		if _, err := Run(o); err == nil {
+		if _, err := Run(bench.NewRunner(), o); err == nil {
 			t.Errorf("Run(%+v) accepted, want error", o)
 		}
 	}
