@@ -99,15 +99,22 @@ perfbench-smoke:
 # collective stack) under both the CPU and allocation profilers, then print
 # a top-10 summary of each. Raw profiles land in profile/ for
 # `go tool pprof -http` digs; the allocation summary of a healthy hot path
-# attributes (almost) everything to setup, not the copy loop.
+# attributes (almost) everything to setup, not the copy loop. A last
+# cache-replay leg runs a small IG sweep twice over a fresh cache directory
+# and profiles the second, all-hit run: the memo key and hit path.
+PROFILE_REPLAY = -op bcast -machine IG -sizes 1K,2K,4K,8K,16K,32K,64K,128K,256K -comps Tuned-SM,Tuned-KNEM,MPICH2-SM,MPICH2-KNEM,KNEM-Coll,Basic-SM,SM-Coll -iters 1 -cache-dir profile/replay-cache
 profile:
 	mkdir -p profile
 	$(GO) run ./cmd/simbench -cpuprofile profile/sim.cpu.pprof -memprofile profile/sim.mem.pprof -o profile/BENCH_sim.profile.json
 	$(GO) run ./cmd/imb -no-cache -op bcast -machine Dancer -sizes 64K,1M -iters 2 -cpuprofile profile/imb.cpu.pprof -memprofile profile/imb.mem.pprof > /dev/null
+	rm -rf profile/replay-cache
+	$(GO) run ./cmd/imb $(PROFILE_REPLAY) > /dev/null
+	$(GO) run ./cmd/imb $(PROFILE_REPLAY) -cpuprofile profile/replay.cpu.pprof > /dev/null
 	$(GO) tool pprof -top -nodecount=10 profile/sim.cpu.pprof
 	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space profile/sim.mem.pprof
 	$(GO) tool pprof -top -nodecount=10 profile/imb.cpu.pprof
 	$(GO) tool pprof -top -nodecount=10 -sample_index=alloc_space profile/imb.mem.pprof
+	$(GO) tool pprof -top -nodecount=10 profile/replay.cpu.pprof
 
 # Autotuner smoke: search a tiny grid twice at different parallelism
 # levels with the sim cache off, assert the emitted tables are

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
 
+	"repro/internal/topology"
 	"repro/internal/trace"
 	"repro/internal/tune"
 )
@@ -158,19 +160,40 @@ func (r *Runner) DedupedCount() int64 { return r.deduped.Load() }
 // memoKey builds cfg's cache key. ok is false when the cell must not be
 // cached: a fault plan is active, or the component carries no canonical
 // configuration encoding. cfg must already have NP and Iters defaulted,
-// and dec must be the effective decider (explicit or global).
+// and dec must be the effective decider (explicit or global). The machine
+// fingerprint and the decision hash are cached on the machine and the
+// decider, so a key costs one allocation: the returned string.
 func memoKey(cfg Config, dec *tune.Decider) (string, bool) {
 	if cfg.Fault != nil || cfg.Comp.Key == "" {
 		return "", false
 	}
 	decKey := "none"
 	if dec != nil {
-		decKey = dec.Table().ContentHash()
+		decKey = dec.ContentHash()
 	}
-	return fmt.Sprintf("%s|%s|m=%s|comp=%s|btl=%d|knemmin=%d|op=%s|size=%d|np=%d|iters=%d|oc=%t|root=%d|dec=%s",
-		cacheSchema, simFingerprint, tune.Fingerprint(cfg.Machine), cfg.Comp.Key,
-		cfg.Comp.BTL, cfg.Comp.KnemMin, cfg.Op, cfg.Size, cfg.NP, cfg.Iters,
-		cfg.OffCache, cfg.Root, decKey), true
+	var buf [512]byte
+	b := appendKeyHead(buf[:0], "", cfg.Machine, cfg.Comp)
+	b = append(append(b, "|op="...), cfg.Op...)
+	b = strconv.AppendInt(append(b, "|size="...), cfg.Size, 10)
+	b = strconv.AppendInt(append(b, "|np="...), int64(cfg.NP), 10)
+	b = strconv.AppendInt(append(b, "|iters="...), int64(cfg.Iters), 10)
+	b = strconv.AppendBool(append(b, "|oc="...), cfg.OffCache)
+	b = strconv.AppendInt(append(b, "|root="...), int64(cfg.Root), 10)
+	b = append(append(b, "|dec="...), decKey...)
+	return string(b), true
+}
+
+// appendKeyHead appends the fields every cache key opens with: the entry
+// schema, the simulator generation, kind (a "name|" tag for non-Measure
+// cells, "" for Measure cells), the machine fingerprint and the
+// component's canonical configuration.
+func appendKeyHead(b []byte, kind string, m *topology.Machine, c Comp) []byte {
+	b = append(b, cacheSchema+"|"+simFingerprint+"|"...)
+	b = append(append(b, kind...), "m="...)
+	b = append(append(b, m.Fingerprint()...), "|comp="...)
+	b = append(b, c.Key...)
+	b = strconv.AppendInt(append(b, "|btl="...), int64(c.BTL), 10)
+	return strconv.AppendInt(append(b, "|knemmin="...), c.KnemMin, 10)
 }
 
 // entryPath shards entries by the first hash byte to keep directories flat.

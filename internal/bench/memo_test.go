@@ -112,7 +112,7 @@ func TestCacheKeyExclusions(t *testing.T) {
 		t.Fatal("iters not in the key")
 	}
 	dec := tune.NewDecider(&tune.Table{
-		Version: tune.TableVersion, Machine: m.Name, Fingerprint: tune.Fingerprint(m),
+		Version: tune.TableVersion, Machine: m.Name, Fingerprint: m.Fingerprint(),
 		Cells: []tune.Cell{{
 			Op: tune.OpBcast, NP: m.NCores(), Size: 64 * KiB,
 			Choice: tune.Choice{Comp: "KNEM-Coll"}, Seconds: 1e-4,

@@ -5,12 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 
 	"repro/internal/asp"
 	"repro/internal/core"
 	"repro/internal/mpi"
 	"repro/internal/topology"
-	"repro/internal/tune"
 )
 
 // Table1Row is one line of the paper's Table I: the time a rank spends in
@@ -70,8 +70,7 @@ func (r *Runner) RunTable1(m *topology.Machine, n, sample int) Table1Result {
 		c := comps[i]
 		var key string
 		if cache != nil && c.Key != "" {
-			key = fmt.Sprintf("%s|%s|table1|m=%s|comp=%s|btl=%d|knemmin=%d|n=%d|sample=%d|seed=11",
-				cacheSchema, simFingerprint, tune.Fingerprint(m), c.Key, c.BTL, c.KnemMin, n, sample)
+			key = table1Key(m, c, n, sample)
 			var cell table1Cell
 			if ent, ok := peek[rawMemoEntry](cache, key); ok && json.Unmarshal(ent.Value, &cell) == nil {
 				r.hits.Add(1)
@@ -132,4 +131,13 @@ func (t Table1Result) Render(w io.Writer) {
 		fmt.Fprintf(w, "%-12s %11.1fs %11.1fs\n", row.Comp, row.Bcast, row.Total)
 	}
 	fmt.Fprintf(w, "%-12s %11.1f%% %11.1f%%\n", "Improvement", t.BcastImprovement, t.TotalImprovement)
+}
+
+// table1Key is the memo key of one ASP application cell of Table I.
+func table1Key(m *topology.Machine, c Comp, n, sample int) string {
+	var buf [256]byte
+	b := appendKeyHead(buf[:0], "table1|", m, c)
+	b = strconv.AppendInt(append(b, "|n="...), int64(n), 10)
+	b = strconv.AppendInt(append(b, "|sample="...), int64(sample), 10)
+	return string(append(b, "|seed=11"...))
 }

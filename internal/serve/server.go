@@ -325,9 +325,26 @@ func (s *Server) cellConfigs(req *BatchRequest) (*topology.Machine, []bench.Conf
 	return m, cfgs, echo, nil
 }
 
-// evalCell serves one cell through the layered caches, recording latency
-// and in-flight accounting.
-func (s *Server) evalCell(ctx context.Context, cfg bench.Config) (float64, error) {
+// layerTimes sums, over the cells of one batch, the wall time each layer
+// of the serving stack spent on them: building cache keys, the LRU, and
+// the runner (MeasureCtx: memo, singleflight, simulation). POST /v1/cells
+// reports it as its Server-Timing header, so a slow batch can be
+// attributed to a layer from the response alone.
+type layerTimes struct {
+	key, lru, run atomic.Int64 // nanoseconds
+}
+
+// serverTiming renders t as a Server-Timing header value, in ms.
+func (t *layerTimes) serverTiming() string {
+	ms := func(ns *atomic.Int64) string {
+		return strconv.FormatFloat(float64(ns.Load())/1e6, 'f', -1, 64)
+	}
+	return "key;dur=" + ms(&t.key) + ", lru;dur=" + ms(&t.lru) + ", run;dur=" + ms(&t.run)
+}
+
+// evalCell serves one cell through the layered caches, recording latency,
+// in-flight accounting and the batch's per-layer times.
+func (s *Server) evalCell(ctx context.Context, cfg bench.Config, lt *layerTimes) (float64, error) {
 	t0 := time.Now()
 	s.inflight.Add(1)
 	defer func() {
@@ -335,8 +352,12 @@ func (s *Server) evalCell(ctx context.Context, cfg bench.Config) (float64, error
 		s.histCell.observe(time.Since(t0))
 	}()
 	key, keyed := s.opts.Runner.CellKey(cfg)
+	tLRU := time.Now()
+	lt.key.Add(int64(tLRU.Sub(t0)))
 	if keyed {
-		if secs, ok := s.store.get(key); ok {
+		secs, ok := s.store.get(key)
+		lt.lru.Add(int64(time.Since(tLRU)))
+		if ok {
 			return secs, nil
 		}
 	}
@@ -348,12 +369,16 @@ func (s *Server) evalCell(ctx context.Context, cfg bench.Config) (float64, error
 	tSim := time.Now()
 	res, err := s.opts.Runner.MeasureCtx(ctx, cfg)
 	<-s.sem
-	s.histSim.observe(time.Since(tSim))
+	dSim := time.Since(tSim)
+	s.histSim.observe(dSim)
+	lt.run.Add(int64(dSim))
 	if err != nil {
 		return 0, err
 	}
 	if keyed {
+		tPut := time.Now()
 		s.store.put(key, res.Seconds)
+		lt.lru.Add(int64(time.Since(tPut)))
 	}
 	return res.Seconds, nil
 }
@@ -363,7 +388,7 @@ func (s *Server) evalCell(ctx context.Context, cfg bench.Config) (float64, error
 // returning the lowest-indexed error, if any. done is called from many
 // goroutines; the batch handler writes into a slot array, the sweep
 // handler serializes through a channel.
-func (s *Server) evalAll(ctx context.Context, cfgs []bench.Config, echo []CellResult, done func(i int, r CellResult)) error {
+func (s *Server) evalAll(ctx context.Context, cfgs []bench.Config, echo []CellResult, lt *layerTimes, done func(i int, r CellResult)) error {
 	var (
 		wg     sync.WaitGroup
 		mu     sync.Mutex
@@ -374,7 +399,7 @@ func (s *Server) evalAll(ctx context.Context, cfgs []bench.Config, echo []CellRe
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			secs, err := s.evalCell(ctx, cfgs[i])
+			secs, err := s.evalCell(ctx, cfgs[i], lt)
 			if err != nil {
 				mu.Lock()
 				if errAt < 0 || i < errAt {
@@ -423,7 +448,8 @@ func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	results := make([]CellResult, len(cfgs))
-	err := s.evalAll(r.Context(), cfgs, echo, func(i int, res CellResult) {
+	var lt layerTimes
+	err := s.evalAll(r.Context(), cfgs, echo, &lt, func(i int, res CellResult) {
 		results[i] = res
 	})
 	if err != nil {
@@ -439,6 +465,7 @@ func (s *Server) handleCells(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Server-Timing", lt.serverTiming())
 	w.Write(append(body, '\n'))
 	s.histBatch.observe(time.Since(t0))
 }
@@ -457,7 +484,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	lines := make(chan SweepLine, len(cfgs))
 	evalErr := make(chan error, 1)
 	go func() {
-		evalErr <- s.evalAll(r.Context(), cfgs, echo, func(i int, res CellResult) {
+		evalErr <- s.evalAll(r.Context(), cfgs, echo, &layerTimes{}, func(i int, res CellResult) {
 			lines <- SweepLine{I: i, CellResult: res}
 		})
 		close(lines)

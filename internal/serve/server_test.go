@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -179,7 +181,7 @@ func TestSweepStreams(t *testing.T) {
 // found=false.
 func TestDecisionsEndpoint(t *testing.T) {
 	m := topology.ByName("IG")
-	table := &tune.Table{Version: tune.TableVersion, Machine: m.Name, Fingerprint: tune.Fingerprint(m)}
+	table := &tune.Table{Version: tune.TableVersion, Machine: m.Name, Fingerprint: m.Fingerprint()}
 	table.Cells = append(table.Cells, tune.Cell{
 		Op: tune.OpBcast, NP: 48, Size: 64 << 10,
 		Choice: tune.Choice{Comp: "KNEM-Coll", Seg: 32 << 10}, Seconds: 1e-4,
@@ -440,5 +442,34 @@ func TestMachinesResolvedOnce(t *testing.T) {
 	}
 	if calls["nope"] != 3 {
 		t.Fatalf("unknown name resolved %d times for 3 requests; it must not be cached", calls["nope"])
+	}
+}
+
+// TestServerTiming: POST /v1/cells attributes its batch's time to the key,
+// LRU and runner layers. A replayed batch served entirely from the LRU
+// never reaches the runner, so it reports run;dur=0.
+func TestServerTiming(t *testing.T) {
+	_, ts := newTestServer(t, Options{LRUSize: 64})
+	body := mustJSON(t, testBatch())
+	timing := func() string {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/cells", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d, err %v", resp.StatusCode, err)
+		}
+		return resp.Header.Get("Server-Timing")
+	}
+	shape := regexp.MustCompile(`^key;dur=[0-9.]+, lru;dur=[0-9.]+, run;dur=([0-9.]+)$`)
+	cold := timing()
+	if m := shape.FindStringSubmatch(cold); m == nil || m[1] == "0" {
+		t.Fatalf("cold batch Server-Timing = %q, want every layer and a nonzero run", cold)
+	}
+	warm := timing()
+	if m := shape.FindStringSubmatch(warm); m == nil || m[1] != "0" {
+		t.Fatalf("LRU-replayed batch Server-Timing = %q, want run;dur=0", warm)
 	}
 }

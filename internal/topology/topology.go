@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 )
 
 // Link is a capacitated resource (a bus, interconnect hop, cache port, core
@@ -96,7 +97,9 @@ type Spec struct {
 	DMABw float64
 }
 
-// Machine is a complete hardware model.
+// Machine is a complete hardware model. A machine must not be mutated
+// once its Fingerprint has been asked for: the fingerprint is computed
+// on that first call and cached for the machine's lifetime.
 type Machine struct {
 	Name    string
 	Spec    Spec
@@ -118,6 +121,10 @@ type Machine struct {
 	hops  [][]int
 	lats  [][]float64
 	cr    *clusterRoutes
+
+	// fp caches Fingerprint, computed on first use under fpOnce.
+	fpOnce sync.Once
+	fp     string
 }
 
 type edge struct {

@@ -19,14 +19,18 @@ import (
 // every rank of a world.
 type Decider struct {
 	table *Table
+	// hash is the table's ContentHash, computed once at construction:
+	// every memo key of a steered cell names it.
+	hash string
 	// byOp indexes cells per operation, sorted by (np, size); lookups
 	// only ever scan one op's cells.
 	byOp map[string][]Cell
 }
 
-// NewDecider builds a Decider over a validated table.
+// NewDecider builds a Decider over a validated table. The table must not
+// be mutated afterwards.
 func NewDecider(t *Table) *Decider {
-	d := &Decider{table: t, byOp: make(map[string][]Cell)}
+	d := &Decider{table: t, hash: t.ContentHash(), byOp: make(map[string][]Cell)}
 	for _, c := range t.Cells {
 		d.byOp[c.Op] = append(d.byOp[c.Op], c)
 	}
@@ -44,6 +48,9 @@ func NewDecider(t *Table) *Decider {
 
 // Table returns the decision table the Decider serves.
 func (d *Decider) Table() *Table { return d.table }
+
+// ContentHash returns Table().ContentHash(), computed once by NewDecider.
+func (d *Decider) ContentHash() string { return d.hash }
 
 // maxExtrapolation bounds how far beyond the tuned grid a decision still
 // applies: one octave in log2(size). Queries further out (for example the
@@ -126,7 +133,7 @@ func (s *Set) For(m *topology.Machine) *Decider {
 	if s == nil || m == nil {
 		return nil
 	}
-	return s.byFP[Fingerprint(m)]
+	return s.byFP[m.Fingerprint()]
 }
 
 // Len reports how many machines the set covers.

@@ -10,7 +10,7 @@ import (
 // tagged with a distinguishable segment size so tests can tell which cell a
 // lookup resolved to.
 func gridTable(m *topology.Machine, points [][2]int64) *Table {
-	t := &Table{Version: TableVersion, Machine: m.Name, Fingerprint: Fingerprint(m)}
+	t := &Table{Version: TableVersion, Machine: m.Name, Fingerprint: m.Fingerprint()}
 	for _, p := range points {
 		t.Cells = append(t.Cells, Cell{
 			Op: OpBcast, NP: int(p[0]), Size: p[1],
@@ -119,7 +119,7 @@ func TestLookupDegenerateInputs(t *testing.T) {
 		t.Fatalf("untuned op returned a cell")
 	}
 	// Empty table decider.
-	empty := NewDecider(&Table{Version: TableVersion, Machine: m.Name, Fingerprint: Fingerprint(m)})
+	empty := NewDecider(&Table{Version: TableVersion, Machine: m.Name, Fingerprint: m.Fingerprint()})
 	if _, ok := empty.Lookup(OpBcast, 16, 1<<20); ok {
 		t.Fatalf("empty decider returned a cell")
 	}

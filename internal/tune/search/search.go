@@ -260,7 +260,7 @@ func Run(run *bench.Runner, o Options) (*tune.Table, error) {
 	t := &tune.Table{
 		Version:     tune.TableVersion,
 		Machine:     o.Machine.Name,
-		Fingerprint: tune.Fingerprint(o.Machine),
+		Fingerprint: o.Machine.Fingerprint(),
 		Seed:        o.Seed,
 		Grid: tune.Grid{
 			Ops: append([]string(nil), o.Ops...), NPs: append([]int(nil), o.NPs...),

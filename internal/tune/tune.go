@@ -338,7 +338,7 @@ func (t *Table) CheckMachine(m *topology.Machine) error {
 	if t.Machine != m.Name {
 		return fmt.Errorf("table is for machine %q, not %q", t.Machine, m.Name)
 	}
-	if fp := Fingerprint(m); t.Fingerprint != fp {
+	if fp := m.Fingerprint(); t.Fingerprint != fp {
 		return fmt.Errorf("machine fingerprint mismatch: table %s, machine %s (the machine model changed since the table was tuned; re-run `tune search`)", t.Fingerprint, fp)
 	}
 	return nil
@@ -368,46 +368,6 @@ func (t *Table) WriteFile(path string) error {
 		return err
 	}
 	return f.Close()
-}
-
-// Fingerprint returns a short stable hash of everything that shapes a
-// machine's simulated timing: the calibration constants and the full
-// topology (links with bandwidths, domains, boards, cache groups, core
-// placement). Two machines with equal fingerprints time every collective
-// identically, so a decision table transfers exactly between them and to
-// nothing else.
-func Fingerprint(m *topology.Machine) string {
-	var b strings.Builder
-	s := m.Spec
-	fmt.Fprintf(&b, "%s|spec %g %g %g %g %g %g %g", m.Name,
-		s.CoreCopyBW, s.KernelTrap, s.CopySetup, s.PinPerPage, s.CtrlLatency, s.Flops, s.DMABw)
-	for _, l := range m.Links {
-		fmt.Fprintf(&b, "|link %d %s %g", l.Index, l.Name, l.BW)
-		if l.Lat != 0 {
-			// Emitted only when set so latency-free machines (every
-			// single-node model) keep their pre-cluster fingerprints and
-			// committed decision tables stay valid.
-			fmt.Fprintf(&b, " lat%g", l.Lat)
-		}
-	}
-	for _, d := range m.Domains {
-		fmt.Fprintf(&b, "|dom %d v%d b%d", d.ID, d.Vertex, d.Board)
-		for _, c := range d.Cores {
-			fmt.Fprintf(&b, " c%d", c.ID)
-		}
-	}
-	for _, c := range m.Cores {
-		g := -1
-		if c.Group != nil {
-			g = c.Group.ID
-		}
-		fmt.Fprintf(&b, "|core %d v%d g%d", c.ID, c.Vertex, g)
-	}
-	for _, g := range m.Groups {
-		fmt.Fprintf(&b, "|grp %d v%d sz%d", g.ID, g.Vertex, g.Size)
-	}
-	sum := sha256.Sum256([]byte(b.String()))
-	return fmt.Sprintf("%x", sum[:8])
 }
 
 // ContentHash returns a short stable hash of the table's canonical

