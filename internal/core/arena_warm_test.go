@@ -2,10 +2,9 @@ package core
 
 import (
 	"fmt"
-	"runtime"
-	"runtime/debug"
 	"testing"
 
+	"repro/internal/allocwin"
 	"repro/internal/memsim"
 	"repro/internal/mpi"
 	"repro/internal/shm"
@@ -16,6 +15,14 @@ import (
 // runCell builds a many-core bcast cell on the given shard and runs one
 // broadcast, with the options of cmd/simbench's core/bcast_cell_* cells.
 func runCell(t testing.TB, m *topology.Machine, eng *sim.Engine, net *memsim.Net) sim.Time {
+	return runOpCell(t, m, eng, net, func(r *mpi.Rank) {
+		r.Bcast(r.Alloc(64<<10).Whole(), 0)
+	})
+}
+
+// runOpCell runs op on every rank of a cell built on the given shard,
+// followed by a barrier.
+func runOpCell(t testing.TB, m *topology.Machine, eng *sim.Engine, net *memsim.Net, op func(r *mpi.Rank)) sim.Time {
 	t.Helper()
 	now, _, err := mpi.Run(mpi.Options{
 		Machine: m,
@@ -25,8 +32,7 @@ func runCell(t testing.TB, m *topology.Machine, eng *sim.Engine, net *memsim.Net
 		Engine:  eng,
 		Net:     net,
 	}, func(r *mpi.Rank) {
-		buf := r.Alloc(64 << 10).Whole()
-		r.Bcast(buf, 0)
+		op(r)
 		r.Barrier()
 	})
 	if err != nil {
@@ -42,7 +48,9 @@ func runCell(t testing.TB, m *topology.Machine, eng *sim.Engine, net *memsim.Net
 // remains is the per-rank coroutine machinery (iter.Pull closures and
 // goroutine bookkeeping), which measures ~12 allocations per rank. The
 // bound of 13 per rank is a regression tripwire: before the arena it
-// took several hundred per rank.
+// took several hundred per rank. allocwin keeps the runtime's own thread
+// starts out of the count (see internal/memsim's
+// TestCrossNodeCopyAllocationFree).
 func TestWarmShardConstructionAllocs(t *testing.T) {
 	for _, np := range []int{128, 512} {
 		t.Run(fmt.Sprintf("np%d", np), func(t *testing.T) {
@@ -63,18 +71,70 @@ func TestWarmShardConstructionAllocs(t *testing.T) {
 				runCell(t, m, eng, net)
 			}
 
-			defer debug.SetGCPercent(debug.SetGCPercent(-1))
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			eng.Reset()
-			net.Reset(nil)
-			runCell(t, m, eng, net)
-			runtime.ReadMemStats(&after)
-
-			allocs := after.Mallocs - before.Mallocs
+			allocs := allocwin.Count(func() {
+				eng.Reset()
+				net.Reset(nil)
+				runCell(t, m, eng, net)
+			})
 			if limit := uint64(13 * np); allocs > limit {
 				t.Errorf("warm-shard cell construction at np=%d: %d allocs, want <= %d",
 					np, allocs, limit)
+			}
+		})
+	}
+}
+
+// TestWarmKnemCollectiveAllocs pins what a warm 128-rank KNEM scatter,
+// gather and alltoall cell allocates, at the counts measured when each
+// protocol still had a separate fault-tolerant twin (the counts are the
+// same under -race). Most of it is the per-rank coroutine machinery of
+// TestWarmShardConstructionAllocs; alltoall adds its boxed per-peer
+// cookie messages and its peer map. A fault-free success response that got
+// boxed (one object per peer) or a closure on a per-peer path shows up
+// here as 127 or more extra objects.
+func TestWarmKnemCollectiveAllocs(t *testing.T) {
+	const np, blk = 128, 64 << 10
+	cases := []struct {
+		name  string
+		op    func(r *mpi.Rank)
+		limit uint64
+	}{
+		{"scatter", func(r *mpi.Rank) {
+			var send memsim.View
+			if r.ID() == 0 {
+				send = r.Alloc(np * blk).Whole()
+			}
+			r.Scatter(send, r.Alloc(blk).Whole(), 0)
+		}, 1668},
+		{"gather", func(r *mpi.Rank) {
+			var recv memsim.View
+			if r.ID() == 0 {
+				recv = r.Alloc(np * blk).Whole()
+			}
+			r.Gather(r.Alloc(blk).Whole(), recv, 0)
+		}, 1668},
+		{"alltoall", func(r *mpi.Rank) {
+			r.Alltoall(r.Alloc(np*(16<<10)).Whole(), r.Alloc(np*(16<<10)).Whole())
+		}, 18308},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := topology.ManyCore(np)
+			eng := sim.NewEngine()
+			net := memsim.New(eng, m, nil)
+			// Warm the arena and the pools, as TestWarmShardConstructionAllocs.
+			for i := 0; i < 3; i++ {
+				eng.Reset()
+				net.Reset(nil)
+				runOpCell(t, m, eng, net, tc.op)
+			}
+			allocs := allocwin.Count(func() {
+				eng.Reset()
+				net.Reset(nil)
+				runOpCell(t, m, eng, net, tc.op)
+			})
+			if allocs > tc.limit {
+				t.Errorf("warm %s cell at np=%d: %d allocs, want <= %d", tc.name, np, allocs, tc.limit)
 			}
 		})
 	}

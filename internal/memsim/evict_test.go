@@ -1,10 +1,9 @@
 package memsim
 
 import (
-	"runtime"
-	"runtime/debug"
 	"testing"
 
+	"repro/internal/allocwin"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -165,8 +164,9 @@ func TestFindCachedTieBreaksToLowestGroupID(t *testing.T) {
 // TestCopyHotPathAllocationFree pins the tentpole claim directly in the
 // test suite: after a short warm-up, the blocking Copy lifecycle
 // (startCopy, rate updates, completion dispatch, cache touches) allocates
-// nothing. GC is disabled during the measured window so the malloc counter
-// only sees the copy path itself.
+// nothing. allocwin keeps the runtime from starting an OS thread inside
+// the window, which is what made a plain MemStats.Mallocs delta flaky (see
+// TestCrossNodeCopyAllocationFree).
 func TestCopyHotPathAllocationFree(t *testing.T) {
 	m := topology.IG()
 	e := sim.NewEngine()
@@ -178,14 +178,11 @@ func TestCopyHotPathAllocationFree(t *testing.T) {
 		for i := 0; i < 64; i++ { // warm pools, FIFO rings, stats counters
 			n.Copy(p, m.Cores[0], dst.View(0, 64<<10), src.View(0, 64<<10))
 		}
-		defer debug.SetGCPercent(debug.SetGCPercent(-1))
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < 512; i++ {
-			n.Copy(p, m.Cores[0], dst.View(0, 64<<10), src.View(0, 64<<10))
-		}
-		runtime.ReadMemStats(&after)
-		got = after.Mallocs - before.Mallocs
+		got = allocwin.Count(func() {
+			for i := 0; i < 512; i++ {
+				n.Copy(p, m.Cores[0], dst.View(0, 64<<10), src.View(0, 64<<10))
+			}
+		})
 	})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
