@@ -12,10 +12,12 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# Test-order guard: run the harness packages three times in shuffled
-# order, so a test that leans on state another test left behind fails.
+# Test-order guard: run the harness packages and the KNEM collective
+# packages (core and hier share the degradation toolkit in internal/coll)
+# three times in shuffled order, so a test that leans on state another
+# test left behind fails.
 test-shuffle:
-	$(GO) test -count=3 -shuffle=on ./internal/bench ./internal/serve ./internal/tune/search
+	$(GO) test -count=3 -shuffle=on ./internal/bench ./internal/serve ./internal/tune/search ./internal/core ./internal/coll/hier
 
 vet:
 	$(GO) vet ./...

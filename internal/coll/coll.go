@@ -1,8 +1,32 @@
 // Package coll provides building blocks shared by the collective
 // components: block arithmetic for regular layouts, virtual-rank tree
-// shapes (binomial, chain, split-binary), and a dissemination barrier.
-// The components themselves live in subpackages (basic, tuned, mpich2,
-// smcoll) and in internal/core (the paper's KNEM component).
+// shapes (binomial, chain, split-binary), a dissemination barrier, and the
+// degradation toolkit of the KNEM region protocols (degrade.go). The
+// components themselves live in subpackages (basic, tuned, mpich2,
+// smcoll, hier) and in internal/core (the paper's KNEM component).
+//
+// Each KNEM region protocol is written once, with its degradation branches
+// inline. When the world carries a fault injector (mpi.Options.Fault),
+// TryCreate and TryCopy retry transient failures with the plan's bounded
+// backoff and report persistent ones, and the protocol degrades: a failed
+// registration falls the operation back to a point-to-point algorithm or
+// streams, a failed copy NACKs and is satisfied by a point-to-point resend
+// from the region's owner, and every degradation is counted in trace.Stats
+// and recorded on the timeline's "faults" lane. Without an injector
+// nothing can fail — TryCreate and TryCopy panic on an error, which is
+// then a bug — so the degradation branches are dead and a fault-free run
+// sends exactly the strict protocol's messages.
+//
+// Degradation invariants every protocol keeps:
+//
+//   - A region owner never deregisters while a peer might still access the
+//     region: owners collect exactly one response (ACK or NACK) per peer
+//     that was handed the cookie.
+//   - A peer that loses a region mid-operation never blocks a loop the
+//     owner's progress depends on: resend receives are posted before the
+//     NACK is sent, and stale notifications keep being consumed.
+//   - Peers of an owner that never had a region (registration failed) do
+//     not send responses — nobody collects them.
 package coll
 
 import (

@@ -15,10 +15,11 @@
 // set permits (a downed designated leader is routed around by re-election,
 // and if every member of a node is marked down, the first member serves
 // anyway so the job can proceed). Under a fault plan the KNEM phases
-// degrade exactly like internal/core's protocols: failed registrations
-// announce a fallback to the generic algorithm, failed copies are retried
-// with bounded backoff and then NACKed for a point-to-point resend, and
-// every degradation is counted in trace.Stats.
+// degrade with the toolkit internal/core's protocols use (internal/coll's
+// degrade.go): failed registrations announce a fallback to the generic
+// algorithm, failed copies are retried with bounded backoff and then
+// NACKed for a point-to-point resend, and every degradation is counted in
+// trace.Stats.
 //
 // Irregular operations (alltoall and the vector variants) and the
 // non-contiguous-mapping cases of gather/scatter/allgather delegate to a
@@ -30,7 +31,6 @@ import (
 
 	"repro/internal/coll"
 	"repro/internal/coll/tuned"
-	"repro/internal/fault"
 	"repro/internal/knem"
 	"repro/internal/memsim"
 	"repro/internal/mpi"
@@ -221,93 +221,11 @@ func (c *Component) Leaders() []int { return append([]int(nil), c.leader...) }
 // Name implements mpi.Coll.
 func (c *Component) Name() string { return "hier-" + c.cfg.Inter }
 
-// injector returns the world's fault injector, or nil.
-func (c *Component) injector() *fault.Injector { return c.w.Knem().Injector() }
-
-// enter applies the per-entry fault bookkeeping (straggler delay).
-func (c *Component) enter(r *mpi.Rank) {
-	if in := c.injector(); in != nil {
-		if d := in.Straggle(r.ID()); d > 0 {
-			r.Sleep(d)
-		}
-	}
-}
-
-// --- fault helpers (the degradation idiom of internal/core) --------------
-
-// hierCookie announces a leader's KNEM region to its node peers; the zero
-// value announces a whole-phase fallback to the generic algorithm.
+// hierCookie announces a leader's KNEM region to its node peers; a zero
+// cookie announces a whole-phase fallback to the generic algorithm.
 type hierCookie struct {
 	cookie knem.Cookie
 	n      int64
-}
-
-// hierResp is a peer's single response: ok, or a NACK asking for a resend.
-type hierResp struct {
-	ok bool
-}
-
-// tryCreate registers a region, retrying transient failures under the
-// plan's budget; without an injector a failure is a bug.
-func (c *Component) tryCreate(r *mpi.Rank, v memsim.View, dir knem.Direction) (knem.Cookie, bool) {
-	in := c.injector()
-	for attempt := 0; ; attempt++ {
-		ck, err := r.Knem().CreateView(r.Proc(), r.ID(), v, dir)
-		switch {
-		case err == nil:
-			return ck, true
-		case in == nil:
-			panic(fmt.Sprintf("hier: rank %d knem create: %v", r.ID(), err))
-		case err == knem.ErrAgain && attempt < in.MaxRetries():
-			r.Stats().Retries++
-			r.Sleep(in.Backoff(attempt))
-		default:
-			return 0, false
-		}
-	}
-}
-
-// tryCopy copies through a region, retrying transient failures.
-func (c *Component) tryCopy(r *mpi.Rank, local memsim.View, ck knem.Cookie, off int64, dir knem.Direction) error {
-	in := c.injector()
-	for attempt := 0; ; attempt++ {
-		err := r.Knem().CopyView(r.Proc(), r.Core(), local, ck, off, dir)
-		switch {
-		case err == nil:
-			return nil
-		case in == nil:
-			panic(fmt.Sprintf("hier: rank %d knem copy: %v", r.ID(), err))
-		case err == knem.ErrAgain && attempt < in.MaxRetries():
-			r.Stats().Retries++
-			r.Sleep(in.Backoff(attempt))
-		default:
-			return err
-		}
-	}
-}
-
-// destroyQuiet deregisters, tolerating an injected invalidation.
-func (c *Component) destroyQuiet(r *mpi.Rank, ck knem.Cookie) {
-	if ck == 0 {
-		return
-	}
-	if err := r.Knem().Destroy(r.Proc(), ck); err != nil && err != knem.ErrInvalidCookie {
-		panic(fmt.Sprintf("hier: rank %d knem destroy: %v", r.ID(), err))
-	}
-}
-
-func (c *Component) noteFallback(r *mpi.Rank, op string) {
-	r.Stats().Fallbacks++
-	if in := c.injector(); in != nil {
-		in.Event("fallback", fmt.Sprintf("rank %d %s", r.ID(), op))
-	}
-}
-
-func (c *Component) noteResend(r *mpi.Rank, op string) {
-	r.Stats().Resends++
-	if in := c.injector(); in != nil {
-		in.Event("resend", fmt.Sprintf("rank %d %s", r.ID(), op))
-	}
 }
 
 // --- intra-node building blocks ------------------------------------------
@@ -330,54 +248,30 @@ func (c *Component) intraBcast(r *mpi.Rank, v memsim.View, tag int) {
 		return
 	}
 	if me == lead {
-		ck, ok := c.tryCreate(r, v, knem.DirRead)
+		ck, ok := coll.TryCreate(r, v, knem.DirRead)
 		if !ok {
-			c.noteFallback(r, "hier-bcast-intra")
-			for _, m := range ms {
-				if m != me {
-					r.SendOOB(m, tag+1, hierCookie{})
-				}
-			}
-			coll.BcastBinomial(nr, v, c.leadPos[d], nr.CollTag())
-			return
+			coll.NoteFallback(r, "hier-bcast-intra")
 		}
 		for _, m := range ms {
 			if m != me {
 				r.SendOOB(m, tag+1, hierCookie{cookie: ck, n: v.Len})
 			}
 		}
-		c.collectAndResend(r, v, tag+2, tag+3, len(ms)-1, "hier-bcast-intra")
-		c.destroyQuiet(r, ck)
+		if !ok {
+			coll.BcastBinomial(nr, v, c.leadPos[d], nr.CollTag())
+			return
+		}
+		coll.Serve(r, v, knem.DirRead, coll.Collect(r, tag+2, len(ms)-1), tag+3, "hier-bcast-intra")
+		coll.Destroy(r, ck)
 		return
 	}
 	msg, _ := r.RecvOOB(lead, tag+1)
 	cm := msg.(hierCookie)
-	if cm.cookie == 0 && cm.n == 0 {
+	if cm.cookie == 0 {
 		coll.BcastBinomial(nr, v, c.leadPos[d], nr.CollTag())
 		return
 	}
-	if err := c.tryCopy(r, v, cm.cookie, 0, knem.DirRead); err != nil {
-		r.SendOOB(lead, tag+2, hierResp{ok: false})
-		r.Recv(lead, tag+3, v)
-		return
-	}
-	r.SendOOB(lead, tag+2, hierResp{ok: true})
-}
-
-// collectAndResend gathers n peer responses and serves every NACK with a
-// point-to-point resend of v.
-func (c *Component) collectAndResend(r *mpi.Rank, v memsim.View, respTag, dataTag, n int, op string) {
-	var nacks []int
-	for i := 0; i < n; i++ {
-		m, from := r.RecvOOB(mpi.AnySource, respTag)
-		if !m.(hierResp).ok {
-			nacks = append(nacks, from)
-		}
-	}
-	for _, from := range nacks {
-		c.noteResend(r, op)
-		r.Send(from, dataTag, v)
-	}
+	coll.Access(r, v, cm.cookie, 0, knem.DirRead, lead, tag+2, tag+3)
 }
 
 // interBcast moves v among the leaders, rooted at dense node rootNode.
@@ -403,13 +297,13 @@ func (c *Component) interBcast(lr *mpi.CommRank, v memsim.View, rootNode int) {
 // tokens, the leaders run a dissemination barrier over the fabric, and the
 // release tokens fan back out.
 func (c *Component) Barrier(r *mpi.Rank) {
-	c.enter(r)
+	coll.Straggle(r)
 	tag := r.CollTag()
 	me := r.ID()
 	d := c.nodeOf[me]
 	lead := c.leader[d]
 	if me != lead {
-		r.SendOOB(lead, tag, hierResp{ok: true})
+		r.SendOOB(lead, tag, coll.Ack{})
 		r.RecvOOB(lead, tag+1)
 		return
 	}
@@ -421,14 +315,14 @@ func (c *Component) Barrier(r *mpi.Rank) {
 	coll.Dissemination(lr, lr.CollTag())
 	for _, m := range ms {
 		if m != me {
-			r.SendOOB(m, tag+1, hierResp{ok: true})
+			r.SendOOB(m, tag+1, coll.Ack{})
 		}
 	}
 }
 
 // Bcast moves v root → root's node leader → all leaders → all members.
 func (c *Component) Bcast(r *mpi.Rank, v memsim.View, root int) {
-	c.enter(r)
+	coll.Straggle(r)
 	tag := r.CollTag()
 	me := r.ID()
 	rootNode := c.nodeOf[root]
@@ -450,7 +344,7 @@ func (c *Component) Bcast(r *mpi.Rank, v memsim.View, root int) {
 // Reduce combines intra-node partials at each leader, reduces the partials
 // across the leaders to the root's node, and hands the result to the root.
 func (c *Component) Reduce(r *mpi.Rank, send, recv memsim.View, op mpi.ReduceOp, root int) {
-	c.enter(r)
+	coll.Straggle(r)
 	tag := r.CollTag()
 	me := r.ID()
 	d := c.nodeOf[me]
@@ -486,7 +380,7 @@ func (c *Component) Reduce(r *mpi.Rank, send, recv memsim.View, op mpi.ReduceOp,
 // Allreduce reduces to the leaders, allreduces among them, and broadcasts
 // the total back into each node.
 func (c *Component) Allreduce(r *mpi.Rank, send, recv memsim.View, op mpi.ReduceOp) {
-	c.enter(r)
+	coll.Straggle(r)
 	tag := r.CollTag()
 	me := r.ID()
 	d := c.nodeOf[me]
@@ -511,7 +405,7 @@ func (c *Component) Allreduce(r *mpi.Rank, send, recv memsim.View, op mpi.Reduce
 // assembled buffer within each node. Requires a node-contiguous mapping;
 // other mappings delegate.
 func (c *Component) Allgather(r *mpi.Rank, send, recv memsim.View) {
-	c.enter(r)
+	coll.Straggle(r)
 	if !c.contig {
 		c.fb.Allgather(r, send, recv)
 		return
@@ -539,7 +433,7 @@ func (c *Component) Allgather(r *mpi.Rank, send, recv memsim.View) {
 // Gather funnels blocks through the node leaders to the root's leader and
 // then to the root. Requires a node-contiguous mapping; others delegate.
 func (c *Component) Gather(r *mpi.Rank, send, recv memsim.View, root int) {
-	c.enter(r)
+	coll.Straggle(r)
 	if !c.contig {
 		c.fb.Gather(r, send, recv, root)
 		return
@@ -590,7 +484,7 @@ func (c *Component) Gather(r *mpi.Rank, send, recv memsim.View, root int) {
 // Scatter reverses Gather: the root hands the buffer to its leader, node
 // extents travel to each leader, and leaders scatter within their nodes.
 func (c *Component) Scatter(r *mpi.Rank, send, recv memsim.View, root int) {
-	c.enter(r)
+	coll.Straggle(r)
 	if !c.contig {
 		c.fb.Scatter(r, send, recv, root)
 		return
@@ -638,36 +532,36 @@ func (c *Component) Scatter(r *mpi.Rank, send, recv memsim.View, root int) {
 // Alltoall delegates: every pair crosses the fabric anyway, so the flat
 // pairwise schedules are already the right shape.
 func (c *Component) Alltoall(r *mpi.Rank, send, recv memsim.View) {
-	c.enter(r)
+	coll.Straggle(r)
 	c.fb.Alltoall(r, send, recv)
 }
 
 // Gatherv delegates (irregular layouts).
 func (c *Component) Gatherv(r *mpi.Rank, send, recv memsim.View, rcounts, rdispls []int64, root int) {
-	c.enter(r)
+	coll.Straggle(r)
 	c.fb.Gatherv(r, send, recv, rcounts, rdispls, root)
 }
 
 // Scatterv delegates.
 func (c *Component) Scatterv(r *mpi.Rank, send memsim.View, scounts, sdispls []int64, recv memsim.View, root int) {
-	c.enter(r)
+	coll.Straggle(r)
 	c.fb.Scatterv(r, send, scounts, sdispls, recv, root)
 }
 
 // Allgatherv delegates.
 func (c *Component) Allgatherv(r *mpi.Rank, send, recv memsim.View, rcounts, rdispls []int64) {
-	c.enter(r)
+	coll.Straggle(r)
 	c.fb.Allgatherv(r, send, recv, rcounts, rdispls)
 }
 
 // Alltoallv delegates.
 func (c *Component) Alltoallv(r *mpi.Rank, send memsim.View, scounts, sdispls []int64, recv memsim.View, rcounts, rdispls []int64) {
-	c.enter(r)
+	coll.Straggle(r)
 	c.fb.Alltoallv(r, send, scounts, sdispls, recv, rcounts, rdispls)
 }
 
 // ReduceScatterBlock delegates.
 func (c *Component) ReduceScatterBlock(r *mpi.Rank, send, recv memsim.View, op mpi.ReduceOp) {
-	c.enter(r)
+	coll.Straggle(r)
 	c.fb.ReduceScatterBlock(r, send, recv, op)
 }

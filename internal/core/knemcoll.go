@@ -166,30 +166,28 @@ func (c *Component) drainPending(r *mpi.Rank) {
 	ck := ps.cookie
 	*ps = pendingSync{}
 	c.psPool = append(c.psPool, ps)
-	if c.faulty() {
-		c.destroyQuiet(r, ck)
-		return
-	}
-	c.mustDestroy(r, ck)
+	coll.Destroy(r, ck)
 }
 
-// finishRoot either waits for the peers' ACKs and deregisters now (strict
-// §V-B protocol) or defers both to the rank's next entry (LazySync).
-func (c *Component) finishRoot(r *mpi.Rank, ck knem.Cookie, ackTag, nACKs int) {
-	if c.cfg.LazySync {
+// finishRoot ends a read-region owner's part in a rooted operation: it
+// either waits for the n peers' responses and deregisters now (strict §V-B
+// protocol) or defers both to the rank's next entry (LazySync). Under a
+// fault plan a response may be a NACK, served by sending the requested
+// bytes of v on dataTag and counted as a resend of op, so nothing is
+// deferred.
+func (c *Component) finishRoot(r *mpi.Rank, v memsim.View, ck knem.Cookie, respTag, dataTag, n int, op string) {
+	if c.cfg.LazySync && !coll.Faulty(r) {
 		// Drain any state a previous operation left behind before it is
 		// overwritten: overwriting would leak the old region and strand its
 		// unconsumed ACKs in the out-of-band queue.
 		c.drainPending(r)
 		ps := c.newPending()
-		ps.cookie, ps.tag, ps.nACKs = ck, ackTag, nACKs
+		ps.cookie, ps.tag, ps.nACKs = ck, respTag, n
 		c.pending[r.ID()] = ps
 		return
 	}
-	for i := 0; i < nACKs; i++ {
-		r.RecvOOB(mpi.AnySource, ackTag)
-	}
-	c.mustDestroy(r, ck)
+	coll.Serve(r, v, knem.DirRead, coll.Collect(r, respTag, n), dataTag, op)
+	coll.Destroy(r, ck)
 }
 
 // FlushPending drains every deferred synchronization this rank still owes
@@ -342,6 +340,10 @@ func (c *Component) segSize(n int64) int64 {
 
 // Out-of-band payloads.
 type (
+	// cookieMsg announces an owner's region. A zero cookie announces that
+	// the owner has none: with n == 0 the whole operation falls back to the
+	// delegate (see fallback), otherwise the owner streams the data
+	// point-to-point.
 	cookieMsg struct {
 		cookie knem.Cookie
 		off    int64 // where the receiver should start in the region
@@ -350,12 +352,24 @@ type (
 	segReady struct {
 		seg int
 	}
-	ackMsg struct{}
 	a2aMsg struct {
 		cookie  knem.Cookie
 		sdispls []int64
 	}
 )
+
+// fallback reports whether a cookie message announces a whole-operation
+// fallback: the owner's registration failed before any peer touched it.
+func (m cookieMsg) fallback() bool { return m.cookie == 0 && m.n == 0 }
+
+// announce boxes an owner's cookie message, or the whole-operation
+// fallback verdict when the owner failed to register (ok false).
+func (c *Component) announce(ok bool, m cookieMsg) *cookieMsg {
+	if !ok {
+		m = cookieMsg{}
+	}
+	return c.ck(m)
+}
 
 // ck boxes a cookieMsg into a pooled envelope for SendOOB; the receiver
 // unboxes and recycles it with cookieOf.
@@ -404,25 +418,12 @@ func (c *Component) segOf(msg any) int {
 	return s
 }
 
-func (c *Component) mustCopy(r *mpi.Rank, local memsim.View, ck knem.Cookie, off int64, dir knem.Direction) {
-	err := c.w.Knem().CopyView(r.Proc(), r.Core(), local, ck, off, dir)
-	if err != nil {
-		panic(fmt.Sprintf("core: rank %d knem copy: %v", r.ID(), err))
-	}
-}
-
-func (c *Component) mustCreate(r *mpi.Rank, v memsim.View, dir knem.Direction) knem.Cookie {
-	ck, err := c.w.Knem().CreateView(r.Proc(), r.ID(), v, dir)
-	if err != nil {
-		panic(fmt.Sprintf("core: rank %d knem create: %v", r.ID(), err))
-	}
-	return ck
-}
-
-func (c *Component) mustDestroy(r *mpi.Rank, ck knem.Cookie) {
-	if err := c.w.Knem().Destroy(r.Proc(), ck); err != nil {
-		panic(fmt.Sprintf("core: rank %d knem destroy: %v", r.ID(), err))
-	}
+// enter runs the per-entry bookkeeping of every collective: draining the
+// previous lazy synchronization and, under a fault plan, the straggler
+// delay for this rank.
+func (c *Component) enter(r *mpi.Rank) {
+	c.drainPending(r)
+	coll.Straggle(r)
 }
 
 // Barrier delegates to the fallback component.
@@ -451,28 +452,38 @@ func (c *Component) Bcast(r *mpi.Rank, v memsim.View, root int) {
 
 // bcastLinear: the root declares one read region; every receiver core
 // copies the full buffer in parallel, then ACKs; the root deregisters
-// after all ACKs (§V-B steps 1-6).
+// after all ACKs (§V-B steps 1-6). A root that cannot register falls the
+// whole operation back to the delegate; a peer whose read fails NACKs and
+// receives the buffer point-to-point.
+//
+// Tags: tag cookie, tag+1 responses, tag+2 resent data.
 func (c *Component) bcastLinear(r *mpi.Rank, v memsim.View, root int) {
-	if c.faulty() {
-		c.bcastLinearFault(r, v, root)
-		return
-	}
 	tag := r.CollTag()
 	p := r.Size()
 	if r.ID() == root {
-		ck := c.mustCreate(r, v, knem.DirRead)
+		ck, ok := coll.TryCreate(r, v, knem.DirRead)
+		if !ok {
+			coll.NoteFallback(r, "bcast-linear")
+		}
 		for i := 0; i < p; i++ {
 			if i != root {
-				r.SendOOB(i, tag, c.ck(cookieMsg{cookie: ck, n: v.Len}))
+				r.SendOOB(i, tag, c.announce(ok, cookieMsg{cookie: ck, n: v.Len}))
 			}
 		}
-		c.finishRoot(r, ck, tag+1, p-1)
+		if !ok {
+			c.fb.Bcast(r, v, root)
+			return
+		}
+		c.finishRoot(r, v, ck, tag+1, tag+2, p-1, "bcast-linear")
 		return
 	}
 	msg, _ := r.RecvOOB(root, tag)
 	cm := c.cookieOf(msg)
-	c.mustCopy(r, v, cm.cookie, cm.off, knem.DirRead)
-	r.SendOOB(root, tag+1, ackMsg{})
+	if cm.fallback() {
+		c.fb.Bcast(r, v, root)
+		return
+	}
+	coll.Access(r, v, cm.cookie, cm.off, knem.DirRead, root, tag+1, tag+2)
 }
 
 // Scatter sends block i of the root buffer to rank i; receivers read their
@@ -499,28 +510,38 @@ func (c *Component) Scatterv(r *mpi.Rank, send memsim.View, scounts, sdispls []i
 	c.scatterKnem(r, send, scounts, sdispls, recv, root)
 }
 
+// scatterKnem degrades a failed root registration to the delegate's
+// Scatterv and failed peer reads to point-to-point resends of the block.
+//
+// Tags: tag cookie, tag+1 responses, tag+2 resent blocks.
 func (c *Component) scatterKnem(r *mpi.Rank, send memsim.View, scounts, sdispls []int64, recv memsim.View, root int) {
-	if c.faulty() {
-		c.scatterKnemFault(r, send, scounts, sdispls, recv, root)
-		return
-	}
 	tag := r.CollTag()
 	p := r.Size()
 	if r.ID() == root {
-		ck := c.mustCreate(r, send, knem.DirRead)
+		ck, ok := coll.TryCreate(r, send, knem.DirRead)
+		if !ok {
+			coll.NoteFallback(r, "scatter")
+		}
 		for i := 0; i < p; i++ {
 			if i != root {
-				r.SendOOB(i, tag, c.ck(cookieMsg{cookie: ck, off: sdispls[i], n: scounts[i]}))
+				r.SendOOB(i, tag, c.announce(ok, cookieMsg{cookie: ck, off: sdispls[i], n: scounts[i]}))
 			}
 		}
+		if !ok {
+			c.fb.Scatterv(r, send, scounts, sdispls, recv, root)
+			return
+		}
 		r.LocalCopy(recv.SubView(0, scounts[root]), coll.VBlock(send, scounts, sdispls, root))
-		c.finishRoot(r, ck, tag+1, p-1)
+		c.finishRoot(r, send, ck, tag+1, tag+2, p-1, "scatter")
 		return
 	}
 	msg, _ := r.RecvOOB(root, tag)
 	cm := c.cookieOf(msg)
-	c.mustCopy(r, recv.SubView(0, cm.n), cm.cookie, cm.off, knem.DirRead)
-	r.SendOOB(root, tag+1, ackMsg{})
+	if cm.fallback() {
+		c.fb.Scatterv(r, send, scounts, sdispls, recv, root)
+		return
+	}
+	coll.Access(r, recv.SubView(0, cm.n), cm.cookie, cm.off, knem.DirRead, root, tag+1, tag+2)
 }
 
 // Gather uses direction control (§V-B): the root declares its receive
@@ -548,31 +569,40 @@ func (c *Component) Gatherv(r *mpi.Rank, send, recv memsim.View, rcounts, rdispl
 	c.gatherKnem(r, send, recv, rcounts, rdispls, root)
 }
 
+// gatherKnem degrades a failed root registration to the delegate's
+// Gatherv; a peer whose write fails NACKs and sends its block
+// point-to-point for the root to place.
+//
+// Tags: tag cookie, tag+1 responses, tag+2 resent blocks.
 func (c *Component) gatherKnem(r *mpi.Rank, send, recv memsim.View, rcounts, rdispls []int64, root int) {
-	if c.faulty() {
-		c.gatherKnemFault(r, send, recv, rcounts, rdispls, root)
-		return
-	}
 	tag := r.CollTag()
 	p := r.Size()
 	if r.ID() == root {
-		ck := c.mustCreate(r, recv, knem.DirWrite)
+		ck, ok := coll.TryCreate(r, recv, knem.DirWrite)
+		if !ok {
+			coll.NoteFallback(r, "gather")
+		}
 		for i := 0; i < p; i++ {
 			if i != root {
-				r.SendOOB(i, tag, c.ck(cookieMsg{cookie: ck, off: rdispls[i], n: rcounts[i]}))
+				r.SendOOB(i, tag, c.announce(ok, cookieMsg{cookie: ck, off: rdispls[i], n: rcounts[i]}))
 			}
 		}
-		r.LocalCopy(coll.VBlock(recv, rcounts, rdispls, root), send.SubView(0, rcounts[root]))
-		for i := 0; i < p-1; i++ {
-			r.RecvOOB(mpi.AnySource, tag+1)
+		if !ok {
+			c.fb.Gatherv(r, send, recv, rcounts, rdispls, root)
+			return
 		}
-		c.mustDestroy(r, ck)
+		r.LocalCopy(coll.VBlock(recv, rcounts, rdispls, root), send.SubView(0, rcounts[root]))
+		coll.Serve(r, recv, knem.DirWrite, coll.Collect(r, tag+1, p-1), tag+2, "gather")
+		coll.Destroy(r, ck)
 		return
 	}
 	msg, _ := r.RecvOOB(root, tag)
 	cm := c.cookieOf(msg)
-	c.mustCopy(r, send.SubView(0, cm.n), cm.cookie, cm.off, knem.DirWrite)
-	r.SendOOB(root, tag+1, ackMsg{})
+	if cm.fallback() {
+		c.fb.Gatherv(r, send, recv, rcounts, rdispls, root)
+		return
+	}
+	coll.Access(r, send.SubView(0, cm.n), cm.cookie, cm.off, knem.DirWrite, root, tag+1, tag+2)
 }
 
 // Allgather is the paper's assembly of a KNEM Gather to rank 0 followed by
@@ -635,21 +665,38 @@ func (c *Component) Alltoallv(r *mpi.Rank, send memsim.View, scounts, sdispls []
 	c.alltoallKnem(r, send, scounts, sdispls, recv, rcounts, rdispls)
 }
 
+// alltoallKnem degrades per sender: a rank that cannot register its send
+// buffer pushes its blocks point-to-point instead; a reader that loses a
+// peer's region posts a receive, NACKs, and keeps walking the rotated
+// schedule without ever blocking a loop an owner depends on.
+//
+// Tags: tag cookies, tag+2 barrier, tag+3 block data (pushed or resent),
+// tag+4 responses.
 func (c *Component) alltoallKnem(r *mpi.Rank, send memsim.View, scounts, sdispls []int64, recv memsim.View, rcounts, rdispls []int64) {
-	if c.faulty() {
-		c.alltoallKnemFault(r, send, scounts, sdispls, recv, rcounts, rdispls)
-		return
-	}
 	tag := r.CollTag()
 	p := r.Size()
 	me := r.ID()
+	faulty := coll.Faulty(r)
 	// Declare the send buffer once and publish the cookie (the paper's
 	// out-of-band allgather of cookies) together with the displacements
 	// peers need to locate their blocks.
-	ck := c.mustCreate(r, send, knem.DirRead)
+	ck, ok := coll.TryCreate(r, send, knem.DirRead)
+	if !ok {
+		coll.NoteFallback(r, "alltoall")
+	}
 	for i := 0; i < p; i++ {
 		if i != me {
 			r.SendOOB(i, tag, a2aMsg{cookie: ck, sdispls: sdispls})
+		}
+	}
+	var sends, recvs []*mpi.Request
+	if !ok {
+		// Regionless: push every block point-to-point; peers post matching
+		// receives when they see the zero cookie.
+		for i := 0; i < p; i++ {
+			if i != me {
+				sends = append(sends, r.Isend(i, tag+3, coll.VBlock(send, scounts, sdispls, i)))
+			}
 		}
 	}
 	r.LocalCopy(coll.VBlock(recv, rcounts, rdispls, me), coll.VBlock(send, scounts, sdispls, me))
@@ -660,15 +707,29 @@ func (c *Component) alltoallKnem(r *mpi.Rank, send memsim.View, scounts, sdispls
 	// instant each sender's region has one reader.
 	for step := 1; step < p; step++ {
 		peer := (me + step) % p
-		pm, ok := peers[peer]
-		for !ok {
+		pm, okPeer := peers[peer]
+		for !okPeer {
 			msg, from := r.RecvOOB(mpi.AnySource, tag)
 			peers[from] = msg.(a2aMsg)
-			pm, ok = peers[peer]
+			pm, okPeer = peers[peer]
 		}
 		dst := coll.VBlock(recv, rcounts, rdispls, peer)
-		if useDMA {
-			op, err := c.w.Knem().CopyDMA(r.Proc(), r.Core(), []memsim.View{dst}, pm.cookie, pm.sdispls[me], knem.DirRead)
+		off := pm.sdispls[me]
+		switch {
+		case pm.cookie == 0:
+			// The peer pushes; no response is expected of us.
+			recvs = append(recvs, r.Irecv(peer, tag+3, dst))
+		case faulty:
+			// Every read is answered, so each owner learns when its region
+			// is free without the closing barrier.
+			if err := c.fetchBlock(r, dst, pm.cookie, off, useDMA); err != nil {
+				recvs = append(recvs, r.Irecv(peer, tag+3, dst))
+				r.SendOOB(peer, tag+4, coll.Nack{Off: off, N: dst.Len})
+			} else {
+				r.SendOOB(peer, tag+4, coll.Ack{})
+			}
+		case useDMA:
+			op, err := c.w.Knem().CopyDMA(r.Proc(), r.Core(), []memsim.View{dst}, pm.cookie, off, knem.DirRead)
 			if err != nil {
 				panic(fmt.Sprintf("core: rank %d dma copy: %v", me, err))
 			}
@@ -677,16 +738,46 @@ func (c *Component) alltoallKnem(r *mpi.Rank, send memsim.View, scounts, sdispls
 				inflight[0].Wait(r.Proc())
 				inflight = inflight[1:]
 			}
-			continue
+		default:
+			coll.TryCopy(r, dst, pm.cookie, off, knem.DirRead) // cannot fail without an injector
 		}
-		c.mustCopy(r, dst, pm.cookie, pm.sdispls[me], knem.DirRead)
 	}
-	for _, op := range inflight {
-		op.Wait(r.Proc())
+	if faulty {
+		// Every reader of our region responds exactly once; resend to the
+		// NACKers, then the region is safe to drop.
+		if ok {
+			for _, nk := range coll.Collect(r, tag+4, p-1) {
+				coll.NoteResend(r, "alltoall")
+				sends = append(sends, r.Isend(nk.From, tag+3, send.SubView(nk.Off, nk.N)))
+			}
+		}
+		r.Wait(append(sends, recvs...)...)
+	} else {
+		for _, op := range inflight {
+			op.Wait(r.Proc())
+		}
+		// Nobody may deregister while peers might still read (§V-C).
+		coll.Dissemination(r, tag+2)
 	}
-	// Nobody may deregister while peers might still read (§V-C).
-	coll.Dissemination(r, tag+2)
-	c.mustDestroy(r, ck)
+	coll.Destroy(r, ck)
+}
+
+// fetchBlock is the fault-tolerant block read of alltoallKnem: a DMA
+// transfer is waited on at once, so an injected DMA failure can still
+// degrade to a synchronous kernel copy.
+func (c *Component) fetchBlock(r *mpi.Rank, dst memsim.View, ck knem.Cookie, off int64, useDMA bool) error {
+	if useDMA {
+		op, err := c.w.Knem().CopyDMA(r.Proc(), r.Core(), []memsim.View{dst}, ck, off, knem.DirRead)
+		if err == nil {
+			op.Wait(r.Proc())
+			return nil
+		}
+		if err != knem.ErrDMA && err != knem.ErrNoDMA {
+			return err
+		}
+		coll.NoteFallback(r, "dma-to-sync")
+	}
+	return coll.TryCopy(r, dst, ck, off, knem.DirRead)
 }
 
 // ringAllgather resolves the Allgather algorithm for an n-byte block: a
