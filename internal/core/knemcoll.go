@@ -739,7 +739,8 @@ func (c *Component) alltoallKnem(r *mpi.Rank, send memsim.View, scounts, sdispls
 				inflight = inflight[1:]
 			}
 		default:
-			coll.TryCopy(r, dst, pm.cookie, off, knem.DirRead) // cannot fail without an injector
+			// Without an injector TryCopy panics rather than return an error.
+			_ = coll.TryCopy(r, dst, pm.cookie, off, knem.DirRead)
 		}
 	}
 	if faulty {
