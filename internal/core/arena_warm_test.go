@@ -85,13 +85,12 @@ func TestWarmShardConstructionAllocs(t *testing.T) {
 }
 
 // TestWarmKnemCollectiveAllocs pins what a warm 128-rank KNEM scatter,
-// gather and alltoall cell allocates, at the counts measured when each
-// protocol still had a separate fault-tolerant twin (the counts are the
-// same under -race). Most of it is the per-rank coroutine machinery of
-// TestWarmShardConstructionAllocs; alltoall adds its boxed per-peer
-// cookie messages and its peer map. A fault-free success response that got
-// boxed (one object per peer) or a closure on a per-peer path shows up
-// here as 127 or more extra objects.
+// gather and alltoall cell allocates (the counts are the same under
+// -race). All of it is the per-rank coroutine machinery of
+// TestWarmShardConstructionAllocs: every protocol sends pooled cookie
+// envelopes, and alltoall keeps the cookies it receives in an arena inbox.
+// A fault-free success response that got boxed (one object per peer) or a
+// closure on a per-peer path shows up here as 127 or more extra objects.
 func TestWarmKnemCollectiveAllocs(t *testing.T) {
 	const np, blk = 128, 64 << 10
 	cases := []struct {
@@ -115,7 +114,7 @@ func TestWarmKnemCollectiveAllocs(t *testing.T) {
 		}, 1668},
 		{"alltoall", func(r *mpi.Rank) {
 			r.Alltoall(r.Alloc(np*(16<<10)).Whole(), r.Alloc(np*(16<<10)).Whole())
-		}, 18308},
+		}, 1668},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

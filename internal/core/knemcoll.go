@@ -144,6 +144,10 @@ type Component struct {
 	ckPool []*cookieMsg
 	sgPool []*segReady
 	psPool []*pendingSync
+	// a2aInbox[rank] holds the cookie envelopes the rank's current
+	// alltoall received ahead of its rotated schedule, by sender (see
+	// inbox).
+	a2aInbox [][]*cookieMsg
 }
 
 type pendingSync struct {
@@ -238,6 +242,7 @@ func NewWithConfig(w *mpi.World, cfg Config) mpi.Coll {
 		clear(c.pending)
 	}
 	// ckPool, sgPool, psPool are kept: recycled envelopes stay valid.
+	c.a2aInbox = nil
 	np := w.Size()
 	nd := len(w.Machine().Domains)
 	ints := sim.SlicesFor[int](arena)
@@ -351,10 +356,6 @@ type (
 	}
 	segReady struct {
 		seg int
-	}
-	a2aMsg struct {
-		cookie  knem.Cookie
-		sdispls []int64
 	}
 )
 
@@ -678,15 +679,15 @@ func (c *Component) alltoallKnem(r *mpi.Rank, send memsim.View, scounts, sdispls
 	me := r.ID()
 	faulty := coll.Faulty(r)
 	// Declare the send buffer once and publish the cookie (the paper's
-	// out-of-band allgather of cookies) together with the displacements
-	// peers need to locate their blocks.
+	// out-of-band allgather of cookies), telling each peer where its block
+	// starts.
 	ck, ok := coll.TryCreate(r, send, knem.DirRead)
 	if !ok {
 		coll.NoteFallback(r, "alltoall")
 	}
 	for i := 0; i < p; i++ {
 		if i != me {
-			r.SendOOB(i, tag, a2aMsg{cookie: ck, sdispls: sdispls})
+			r.SendOOB(i, tag, c.ck(cookieMsg{cookie: ck, off: sdispls[i], n: scounts[i]}))
 		}
 	}
 	var sends, recvs []*mpi.Request
@@ -700,21 +701,21 @@ func (c *Component) alltoallKnem(r *mpi.Rank, send memsim.View, scounts, sdispls
 		}
 	}
 	r.LocalCopy(coll.VBlock(recv, rcounts, rdispls, me), coll.VBlock(send, scounts, sdispls, me))
-	peers := make(map[int]a2aMsg, p-1)
+	inbox := c.inbox(me, p)
 	useDMA := c.cfg.DMADepth > 0 && c.w.Machine().DMA[r.Core().Domain.ID] != nil
 	var inflight []*knem.Op
 	// Fetch blocks in rotated order: step k reads from me+k, so at any
 	// instant each sender's region has one reader.
 	for step := 1; step < p; step++ {
 		peer := (me + step) % p
-		pm, okPeer := peers[peer]
-		for !okPeer {
+		for inbox[peer] == nil {
 			msg, from := r.RecvOOB(mpi.AnySource, tag)
-			peers[from] = msg.(a2aMsg)
-			pm, okPeer = peers[peer]
+			inbox[from] = msg.(*cookieMsg)
 		}
+		pm := c.cookieOf(inbox[peer])
+		inbox[peer] = nil
 		dst := coll.VBlock(recv, rcounts, rdispls, peer)
-		off := pm.sdispls[me]
+		off := pm.off
 		switch {
 		case pm.cookie == 0:
 			// The peer pushes; no response is expected of us.
@@ -761,6 +762,21 @@ func (c *Component) alltoallKnem(r *mpi.Rank, send memsim.View, scounts, sdispls
 		coll.Dissemination(r, tag+2)
 	}
 	coll.Destroy(r, ck)
+}
+
+// inbox returns rank me's alltoall inbox: one slot per sender, nil until
+// that sender's cookie envelope arrives. It is carved from the arena on
+// the rank's first alltoall of the run, and every alltoall leaves it
+// empty again.
+func (c *Component) inbox(me, p int) []*cookieMsg {
+	arena := c.w.Engine().Arena()
+	if c.a2aInbox == nil {
+		c.a2aInbox = sim.SlicesFor[[]*cookieMsg](arena).Make(c.w.Size())
+	}
+	if c.a2aInbox[me] == nil {
+		c.a2aInbox[me] = sim.SlicesFor[*cookieMsg](arena).Make(p)
+	}
+	return c.a2aInbox[me]
 }
 
 // fetchBlock is the fault-tolerant block read of alltoallKnem: a DMA
