@@ -472,53 +472,79 @@ func TestHierarchyWithScatteredMapping(t *testing.T) {
 	}
 }
 
-// Multi-level tree: the roles must form a spanning tree rooted at root,
-// respecting board and domain locality.
+// Multi-level tree: each rank's role, queried on its own, must agree with
+// every other rank's and form a spanning tree rooted at root that respects
+// board and domain locality, with one root child per other board, in
+// ascending board order.
 func TestMultiLevelRoles(t *testing.T) {
-	w, err := mpi.NewWorld(mpi.Options{Machine: topology.IG(), Coll: func(w *mpi.World) mpi.Coll {
-		return NewWithConfig(w, Config{Mode: ModeMultiLevel})
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := w.Coll().(*Component)
-	for _, root := range []int{0, 7, 47} {
-		roles := c.multiLevelRoles(root)
-		// Spanning tree: every non-root has a parent; edges = n-1; no cycles
-		// (depth bounded).
-		edges := 0
-		for rank, ro := range roles {
-			if rank == root {
-				if ro.parent != -1 {
-					t.Fatalf("root %d has parent %d", root, ro.parent)
+	for _, tc := range []struct {
+		m     *topology.Machine
+		roots []int
+	}{
+		{topology.IG(), []int{0, 7, 47}},
+		{topology.ManyCore(512), []int{0, 200, 511}},
+	} {
+		w, err := mpi.NewWorld(mpi.Options{Machine: tc.m, Coll: func(w *mpi.World) mpi.Coll {
+			return NewWithConfig(w, Config{Mode: ModeMultiLevel})
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := w.Coll().(*Component)
+		np := w.Size()
+		board := func(rank int) int { return tc.m.Domains[c.domainOf[rank]].Board }
+		for _, root := range tc.roots {
+			roles := make([]bcastRole, np)
+			for rank := range roles {
+				roles[rank] = c.multiLevelRole(root, rank)
+			}
+			// Spanning tree: every non-root has a parent that lists it as a
+			// child; edges = n-1; no cycles (depth bounded).
+			edges := 0
+			for rank, ro := range roles {
+				for _, ch := range ro.children {
+					if roles[ch].parent != rank {
+						t.Fatalf("%s root %d: rank %d lists child %d, whose parent is %d", tc.m.Name, root, rank, ch, roles[ch].parent)
+					}
 				}
-				continue
-			}
-			if ro.parent == -1 {
-				t.Fatalf("rank %d unparented (root %d)", rank, root)
-			}
-			edges++
-			depth := 0
-			for cur := rank; cur != root; cur = roles[cur].parent {
-				depth++
-				if depth > 3 {
-					t.Fatalf("rank %d deeper than 3 levels", rank)
+				if rank == root {
+					if ro.parent != -1 {
+						t.Fatalf("%s: root %d has parent %d", tc.m.Name, root, ro.parent)
+					}
+					continue
+				}
+				if ro.parent == -1 {
+					t.Fatalf("%s: rank %d unparented (root %d)", tc.m.Name, rank, root)
+				}
+				if ro.parentRoot != (ro.parent == root) {
+					t.Fatalf("%s: rank %d parentRoot=%v under parent %d (root %d)", tc.m.Name, rank, ro.parentRoot, ro.parent, root)
+				}
+				edges++
+				depth := 0
+				for cur := rank; cur != root; cur = roles[cur].parent {
+					depth++
+					if depth > 3 {
+						t.Fatalf("%s: rank %d deeper than 3 levels", tc.m.Name, rank)
+					}
 				}
 			}
-		}
-		if edges != 47 {
-			t.Fatalf("tree has %d edges", edges)
-		}
-		// Exactly one child of root lives on the remote board.
-		m := w.Machine()
-		remoteChildren := 0
-		for _, ch := range roles[root].children {
-			if m.Domains[c.domainOf[ch]].Board != m.Domains[c.domainOf[root]].Board {
-				remoteChildren++
+			if edges != np-1 {
+				t.Fatalf("%s root %d: tree has %d edges, want %d", tc.m.Name, root, edges, np-1)
 			}
-		}
-		if remoteChildren != 1 {
-			t.Fatalf("root %d has %d remote-board children, want 1", root, remoteChildren)
+			// One child of root per remote board, in ascending board order.
+			last, remote := -1, 0
+			for _, ch := range roles[root].children {
+				if b := board(ch); b != board(root) {
+					if b <= last {
+						t.Fatalf("%s root %d: remote-board children %v not in ascending board order", tc.m.Name, root, roles[root].children)
+					}
+					last = b
+					remote++
+				}
+			}
+			if remote != tc.m.Boards()-1 {
+				t.Fatalf("%s root %d has %d remote-board children, want %d", tc.m.Name, root, remote, tc.m.Boards()-1)
+			}
 		}
 	}
 }

@@ -29,72 +29,82 @@ type bcastRole struct {
 	parentRoot bool  // parent is the root (whole-buffer read allowed for leaves)
 }
 
-// multiLevelRoles derives the tree for the given root from board and
-// domain locality.
-func (c *Component) multiLevelRoles(root int) []bcastRole {
+// multiLevelRole derives rank's place in the tree for the given root from
+// board and domain locality, without building the rest of the tree. Each
+// domain is led by its first member (the root leads its own), each other
+// board by its lowest-numbered domain leader; the root's board leader is
+// the root. Children are listed in notification order: the other boards'
+// leaders in ascending board order (root only), then the domain leaders a
+// board leader heads, then the domain's leaves.
+func (c *Component) multiLevelRole(root, rank int) bcastRole {
 	m := c.w.Machine()
-	nDom := len(m.Domains)
-	domLeader := make([]int, nDom)
-	for d := 0; d < nDom; d++ {
-		domLeader[d] = -1
-		if len(c.members[d]) > 0 {
-			domLeader[d] = c.members[d][0]
-		}
-	}
-	rootDom := c.domainOf[root]
-	domLeader[rootDom] = root
-
 	boardOf := func(d int) int { return m.Domains[d].Board }
-	rootBoard := boardOf(rootDom)
-	boardLeader := make(map[int]int)
-	boardLeader[rootBoard] = root
-	for d := 0; d < nDom; d++ {
-		if domLeader[d] == -1 {
-			continue
+	rootDom := c.domainOf[root]
+	domLeader := func(d int) int {
+		switch {
+		case d == rootDom:
+			return root
+		case len(c.members[d]) == 0:
+			return -1
 		}
-		b := boardOf(d)
-		if cur, ok := boardLeader[b]; !ok || domLeader[d] < cur {
-			if b != rootBoard {
-				boardLeader[b] = domLeader[d]
+		return c.members[d][0]
+	}
+	boardLeader := func(b int) int {
+		if b == boardOf(rootDom) {
+			return root
+		}
+		bl := -1
+		for d := range c.members {
+			if dl := domLeader(d); boardOf(d) == b && dl != -1 && (bl == -1 || dl < bl) {
+				bl = dl
 			}
 		}
+		return bl
 	}
 
-	roles := make([]bcastRole, c.w.Size())
-	for i := range roles {
-		roles[i].parent = -1
+	dom := c.domainOf[rank]
+	dl, bl := domLeader(dom), boardLeader(boardOf(dom))
+	role := bcastRole{parent: -1}
+	switch {
+	case rank == root:
+	case rank != dl:
+		role.parent = dl
+	case rank != bl:
+		role.parent = bl
+	default:
+		role.parent = root
 	}
-	addChild := func(parent, child int) {
-		roles[parent].children = append(roles[parent].children, child)
-		roles[child].parent = parent
-		roles[child].parentRoot = parent == root
-	}
+	role.parentRoot = role.parent == root
+
 	// Board leaders hang off the root.
-	for b, bl := range boardLeader {
-		if b != rootBoard {
-			addChild(root, bl)
+	if rank == root {
+		lastBoard := 0
+		for d := range m.Domains {
+			lastBoard = max(lastBoard, boardOf(d))
+		}
+		for b := 0; b <= lastBoard; b++ {
+			if l := boardLeader(b); l != -1 && l != root {
+				role.children = append(role.children, l)
+			}
 		}
 	}
 	// Domain leaders hang off their board leader.
-	for d := 0; d < nDom; d++ {
-		dl := domLeader[d]
-		if dl == -1 {
-			continue
-		}
-		bl := boardLeader[boardOf(d)]
-		if dl != bl {
-			addChild(bl, dl)
-		}
-	}
-	// Leaves hang off their domain leader.
-	for d := 0; d < nDom; d++ {
-		for _, rank := range c.members[d] {
-			if rank != domLeader[d] && rank != root {
-				addChild(domLeader[d], rank)
+	if rank == bl {
+		for d := range c.members {
+			if l := domLeader(d); boardOf(d) == boardOf(dom) && l != -1 && l != rank {
+				role.children = append(role.children, l)
 			}
 		}
 	}
-	return roles
+	// Leaves hang off their domain leader.
+	if rank == dl {
+		for _, leaf := range c.members[dom] {
+			if leaf != rank {
+				role.children = append(role.children, leaf)
+			}
+		}
+	}
+	return role
 }
 
 const wholeBuffer = -1 // segReady.seg value meaning "read everything"
@@ -113,8 +123,7 @@ func (c *Component) bcastMultiLevel(r *mpi.Rank, v memsim.View, root int) {
 	tag := r.CollTag()
 	me := r.ID()
 	seg := c.segSize(v.Len)
-	roles := c.multiLevelRoles(root)
-	role := roles[me]
+	role := c.multiLevelRole(root, me)
 
 	if role.parent == -1 && me != root {
 		panic("core: multilevel rank outside tree")
@@ -136,7 +145,7 @@ func (c *Component) bcastMultiLevel(r *mpi.Rank, v memsim.View, root int) {
 		// relays under it still pace themselves per segment so their own
 		// subtrees overlap with their reads.
 		for _, ch := range role.children {
-			if len(roles[ch].children) == 0 {
+			if len(c.multiLevelRole(root, ch).children) == 0 {
 				r.SendOOB(ch, tag+3, c.sg(wholeBuffer))
 				continue
 			}
