@@ -167,11 +167,13 @@ scale-smoke:
 # Serving smoke: boot the simd daemon on a random port against a fresh
 # cache directory and run its built-in contract check — the same batch
 # posted by concurrent clients twice over must be byte-identical every
-# time and the second round 100% cache-served (verified via /v1/stats
-# deltas). simd prints the sweep panel for its smoke cells on stdout;
-# running imb over the same cells and cache directory must produce the
-# byte-identical panel — the serving tier and the CLI are the same
-# deterministic engine behind different front doors.
+# time and the second round 100% served from the run memo (verified via
+# /v1/stats deltas). simd prints the sweep panel for its smoke cells on
+# stdout; running imb over the same cells and cache directory must produce
+# the byte-identical panel — the serving tier and the CLI are the same
+# deterministic engine behind different front doors. The selftest then
+# restarts the server on a fresh runner over that directory and requires
+# every cell to replay from disk (0 sim misses, hit rate 1.0).
 simd-smoke:
 	rm -rf /tmp/simd-smoke-cache
 	$(GO) run ./cmd/simd -smoke -cache-dir /tmp/simd-smoke-cache > /tmp/simd-smoke-server.txt

@@ -1,15 +1,17 @@
 // Command simd serves the deterministic sweep-and-tune engine over
 // HTTP/JSON: batch cell evaluation (POST /v1/cells), streamed sweeps
 // (POST /v1/sweep), tuned-decision lookups (GET /v1/decisions), and live
-// cache/latency statistics (GET /v1/stats). Responses are deterministic —
-// the same batch yields byte-identical bodies whether cells are simulated,
-// deduplicated against in-flight twins, or replayed from the layered
-// caches, at any request concurrency.
+// cache/latency statistics (GET /v1/stats). Cells are cached only by the
+// run memo (-cache-dir, -no-cache): in memory for the process's life and
+// on disk across restarts. Responses are deterministic — the same batch
+// yields byte-identical bodies whether cells are simulated, deduplicated
+// against in-flight twins, or replayed from the memo, at any request
+// concurrency.
 //
 // Usage:
 //
 //	simd -addr :8080                          # serve until SIGTERM
-//	simd -addr :8080 -warm-file warm.jsonl    # dump hot set on drain, preload on boot
+//	simd -addr :8080 -cache-dir /srv/simcache # keep the memo across restarts
 //	simd -decisions ig.json -machines big.machine -addr :8080
 //	simd -smoke                               # boot, verify, exit
 //	simd -selftest -concurrency 8 -reps 4     # load-test, then assert a warm restart
@@ -21,12 +23,10 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"syscall"
@@ -48,23 +48,14 @@ func main() {
 	noCache := flag.Bool("no-cache", false, "disable run memoization: re-simulate every cell")
 	cacheDir := flag.String("cache-dir", "", "persistent simulation cache directory (default: the user cache dir)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrently simulating cells")
-	lruSize := flag.Int("lru", 4096, "in-memory serving cache capacity, in cells")
 	decisionsPath := flag.String("decisions", "", "comma-separated tuned decision tables (JSON from `tune search`) applied to matching machines")
 	machinesPath := flag.String("machines", "", "comma-separated machine-description files served in addition to the built-in platforms")
-	warmFile := flag.String("warm-file", "", "persist the serving cache across restarts: preload entries on boot, write the hot set on drain")
 	smoke := flag.Bool("smoke", false, "boot on a random port, verify determinism and cache behaviour, print the smoke panel, exit")
-	selftest := flag.Bool("selftest", false, "boot on a random port, run the load-test harness, print its report as JSON, exit")
+	selftest := flag.Bool("selftest", false, "boot on a random port, run the load-test harness, print its report as JSON, assert a restart on a fresh runner replays every cell from the disk memo, exit")
 	concurrency := flag.Int("concurrency", 8, "selftest: concurrent clients")
 	reps := flag.Int("reps", 4, "selftest: batches per client")
 	flag.Parse()
 
-	run := bench.NewRunner()
-	cached, err := run.EnableDefaultCache("simd", *noCache, *cacheDir)
-	if err != nil {
-		fatal(err)
-	}
-
-	opts := serve.Options{Runner: run, LRUSize: *lruSize, Workers: *parallel}
 	set := tune.NewSet()
 	for _, p := range splitNonEmpty(*decisionsPath) {
 		t, err := tune.Load(p, nil)
@@ -73,7 +64,21 @@ func main() {
 		}
 		set.Add(t)
 	}
-	run.SetDecisions(set)
+	// newRunner builds a runner on the flags' memo and decision tables. The
+	// selftest restarts its server on a fresh one over the same cache
+	// directory.
+	newRunner := func() (*bench.Runner, bool) {
+		run := bench.NewRunner()
+		cached, err := run.EnableDefaultCache("simd", *noCache, *cacheDir)
+		if err != nil {
+			fatal(err)
+		}
+		run.SetDecisions(set)
+		return run, cached
+	}
+	run, cached := newRunner()
+
+	opts := serve.Options{Runner: run, Workers: *parallel}
 
 	extra := map[string]*topology.Machine{}
 	for _, p := range splitNonEmpty(*machinesPath) {
@@ -96,11 +101,12 @@ func main() {
 			fatal(err)
 		}
 	case *selftest:
-		if err := runSelftest(opts, *concurrency, *reps, *warmFile); err != nil {
+		fresh := func() *bench.Runner { r, _ := newRunner(); return r }
+		if err := runSelftest(opts, fresh, *concurrency, *reps); err != nil {
 			fatal(err)
 		}
 	default:
-		if err := serveUntilSignal(*addr, opts, cached, *warmFile); err != nil {
+		if err := serveUntilSignal(*addr, opts, cached); err != nil {
 			fatal(err)
 		}
 	}
@@ -115,21 +121,11 @@ func splitNonEmpty(s string) []string {
 
 // serveUntilSignal runs the daemon until SIGINT/SIGTERM, then drains:
 // in-flight requests get up to 30s to finish before the listener dies.
-// With a warm file, the serving cache is preloaded from it on boot and
-// its hot set written back after the drain completes.
-func serveUntilSignal(addr string, opts serve.Options, cached bool, warmFile string) error {
+func serveUntilSignal(addr string, opts serve.Options, cached bool) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	api := serve.New(opts)
-	if warmFile != "" {
-		n, err := preloadWarm(api, warmFile)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "simd: warm start: %d cells preloaded from %s\n", n, warmFile)
-	}
-	srv := &http.Server{Addr: addr, Handler: api.Handler()}
+	srv := &http.Server{Addr: addr, Handler: serve.New(opts).Handler()}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "simd: serving on %s (cache %s)\n", addr, onOff(cached))
@@ -148,65 +144,10 @@ func serveUntilSignal(addr string, opts serve.Options, cached bool, warmFile str
 	if err := <-errc; !errors.Is(err, http.ErrServerClosed) {
 		return err
 	}
-	if warmFile != "" {
-		ents := api.WarmSnapshot()
-		if err := saveWarm(warmFile, ents); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "simd: warm stop: %d cells written to %s\n", len(ents), warmFile)
-	}
 	if cached {
 		opts.Runner.ReportCacheCounts("simd")
 	}
 	return nil
-}
-
-// saveWarm writes the snapshot as JSON lines, atomically (temp + rename)
-// so a crash mid-write never truncates the previous warm set.
-func saveWarm(path string, ents []serve.WarmEntry) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".warm-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	enc := json.NewEncoder(tmp)
-	for _, e := range ents {
-		if err := enc.Encode(e); err != nil {
-			tmp.Close()
-			return err
-		}
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// preloadWarm seeds the server's serving cache from a warm file written
-// by a previous run's drain. A missing file is a cold start, not an
-// error; a malformed line is, so a corrupt file fails loudly instead of
-// silently serving a partial set.
-func preloadWarm(api *serve.Server, path string) (int, error) {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	var ents []serve.WarmEntry
-	dec := json.NewDecoder(f)
-	for {
-		var e serve.WarmEntry
-		if err := dec.Decode(&e); errors.Is(err, io.EOF) {
-			break
-		} else if err != nil {
-			return 0, fmt.Errorf("warm file %s: %v", path, err)
-		}
-		ents = append(ents, e)
-	}
-	return api.WarmPreload(ents), nil
 }
 
 func onOff(b bool) string {
@@ -216,17 +157,16 @@ func onOff(b bool) string {
 	return "off"
 }
 
-// bootLocal starts a server on a random loopback port and returns the
-// server, its base URL, and a shutdown func.
-func bootLocal(opts serve.Options) (*serve.Server, string, func(), error) {
+// bootLocal starts a server on a random loopback port and returns its
+// base URL and a shutdown func.
+func bootLocal(opts serve.Options) (string, func(), error) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return nil, "", nil, err
+		return "", nil, err
 	}
-	api := serve.New(opts)
-	srv := &http.Server{Handler: api.Handler()}
+	srv := &http.Server{Handler: serve.New(opts).Handler()}
 	go srv.Serve(ln)
-	return api, "http://" + ln.Addr().String(), func() { srv.Close() }, nil
+	return "http://" + ln.Addr().String(), func() { srv.Close() }, nil
 }
 
 // smokeSizes and smokeComps define the smoke batch — it must mirror
@@ -256,7 +196,7 @@ func smokeBatch() serve.BatchRequest {
 // stdout must byte-match `imb` on the same cells. Diagnostics go to
 // stderr; stdout carries only the panel.
 func runSmoke(opts serve.Options) error {
-	_, base, shutdown, err := bootLocal(opts)
+	base, shutdown, err := bootLocal(opts)
 	if err != nil {
 		return err
 	}
@@ -304,11 +244,11 @@ func runSmoke(opts serve.Options) error {
 
 // runSelftest boots a throwaway server, drives the load harness against
 // it, and prints the report as JSON. It then exercises the warm-restart
-// path: the first server's hot set is dumped (to warmFile, or a temp file
-// when none was given), a second server preloads it, and the same batch
-// must be answered entirely from the preloaded LRU — zero misses.
-func runSelftest(opts serve.Options, concurrency, reps int, warmFile string) error {
-	api, base, shutdown, err := bootLocal(opts)
+// path: a second server on a fresh runner (fresh) starts with an empty
+// in-memory memo over the same cache directory, so it must answer the
+// same batch byte-identically from the disk memo — no simulation at all.
+func runSelftest(opts serve.Options, fresh func() *bench.Runner, concurrency, reps int) error {
+	base, shutdown, err := bootLocal(opts)
 	if err != nil {
 		return err
 	}
@@ -320,54 +260,39 @@ func runSelftest(opts serve.Options, concurrency, reps int, warmFile string) err
 	if err != nil {
 		return err
 	}
-
-	if warmFile == "" {
-		dir, err := os.MkdirTemp("", "simd-selftest-")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(dir)
-		warmFile = filepath.Join(dir, "warm.jsonl")
-	}
-	if err := saveWarm(warmFile, api.WarmSnapshot()); err != nil {
-		return err
-	}
 	shutdown()
 
-	api2, base2, shutdown2, err := bootLocal(opts)
+	opts.Runner = fresh()
+	base2, shutdown2, err := bootLocal(opts)
 	if err != nil {
 		return err
 	}
 	defer shutdown2()
-	n, err := preloadWarm(api2, warmFile)
-	if err != nil {
-		return err
-	}
-	if want := len(smokeBatch().Cells); n < want {
-		return fmt.Errorf("selftest: warm file preloaded %d cells, want >= %d", n, want)
-	}
 	warm, err := serve.Load(ctx, serve.LoadOptions{
 		BaseURL: base2, Request: smokeBatch(), Concurrency: concurrency, Repetitions: 1,
 	})
 	if err != nil {
 		return fmt.Errorf("selftest warm restart: %v", err)
 	}
+	if string(warm.Body) != string(rep.Body) {
+		return fmt.Errorf("selftest: restarted server's response differs from the first server's")
+	}
 	if warm.HitRate != 1.0 {
-		return fmt.Errorf("selftest: restart hit rate %v, want 1.0 (preloaded LRU must serve the whole batch)", warm.HitRate)
+		return fmt.Errorf("selftest: restart hit rate %v, want 1.0 (the disk memo must serve the whole batch)", warm.HitRate)
 	}
-	if misses := lruMisses(base2); misses != 0 {
-		return fmt.Errorf("selftest: restarted server took %d LRU misses, want 0", misses)
+	if misses := simMisses(base2); misses != 0 {
+		return fmt.Errorf("selftest: restarted server took %d sim misses, want 0", misses)
 	}
-	fmt.Fprintf(os.Stderr, "simd: warm restart: %d cells preloaded, hit rate 1.00, 0 LRU misses\n", n)
+	fmt.Fprintln(os.Stderr, "simd: warm restart from the disk memo: hit rate 1.00, 0 sim misses")
 
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	return enc.Encode(rep)
 }
 
-// lruMisses fetches the server's LRU miss counter (-1 on error: the
+// simMisses fetches the server's memo miss counter (-1 on error: the
 // caller treats any failure to read stats as an assertion failure).
-func lruMisses(base string) int64 {
+func simMisses(base string) int64 {
 	resp, err := http.Get(base + "/v1/stats")
 	if err != nil {
 		return -1
@@ -377,5 +302,5 @@ func lruMisses(base string) int64 {
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		return -1
 	}
-	return st.Cache.LRUMisses
+	return st.Cache.SimMisses
 }

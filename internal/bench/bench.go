@@ -412,17 +412,27 @@ func benchBody(cfg Config, stats *trace.Stats, perRank []float64) func(r *mpi.Ra
 	}
 }
 
-// CellKey returns the content-addressed cache key Measure uses for cfg —
-// after applying the NP/Iters defaults and resolving the effective
-// decision table — and ok=false for cells that are never cached (fault
-// plans, components without a canonical configuration encoding). The
-// serving layer keys its bounded in-memory store by it, so a served cell
-// and a memoized cell can never alias under different identities.
-func (r *Runner) CellKey(cfg Config) (string, bool) {
-	if cfg.Machine == nil {
-		return "", false
+// Cached returns cfg's result when the memo's in-memory layer already
+// holds it, and ok=false otherwise: memo off, a cell that is never cached,
+// or an entry only on disk (MeasureCtx replays those). It touches no
+// counter, so a caller that serves the hit accounts for it itself, and
+// one that falls through to MeasureCtx is not counted twice.
+func (r *Runner) Cached(cfg Config) (Result, bool) {
+	m := r.memo.Load()
+	if m == nil {
+		return Result{}, false
 	}
-	return memoKey(r.withDefaults(cfg))
+	cfg, dec := r.withDefaults(cfg)
+	key, ok := memoKey(cfg, dec)
+	if !ok {
+		return Result{}, false
+	}
+	v, _ := m.mem.Load(key)
+	ent, ok := v.(memoEntry)
+	if !ok {
+		return Result{}, false
+	}
+	return Result{Config: cfg, Seconds: ent.Seconds, Stats: ent.Stats}, true
 }
 
 // MustMeasure is Measure, panicking on simulation failure (used where any

@@ -7,10 +7,10 @@ import (
 	"repro/internal/tune"
 )
 
-// TestCellKeyPinned pins Runner.CellKey's exact strings, and one Table I
-// key, to the bytes on-disk memo entries were written under: a cache
-// directory filled by an older build must keep replaying as hits. Changing
-// any of them is a deliberate cacheSchema or simFingerprint bump.
+// TestCellKeyPinned pins memoKey's exact strings for defaulted cells, and
+// one Table I key, to the bytes on-disk memo entries were written under: a
+// cache directory filled by an older build must keep replaying as hits.
+// Changing any of them is a deliberate cacheSchema or simFingerprint bump.
 func TestCellKeyPinned(t *testing.T) {
 	ig := topology.IG()
 	tb, err := tune.Load("../../machines/ig.tune.json", ig)
@@ -31,7 +31,7 @@ func TestCellKeyPinned(t *testing.T) {
 		want string
 	}
 	run := func(t *testing.T, tc testcase) {
-		got, ok := NewRunner().CellKey(tc.cfg)
+		got, ok := memoKey(NewRunner().withDefaults(tc.cfg))
 		if !ok {
 			t.Fatal("cell refused a key")
 		}
@@ -69,16 +69,26 @@ func TestCellKeyPinned(t *testing.T) {
 	})
 }
 
-// TestCellKeyAllocs guards the LRU-hit path: with the machine fingerprint
-// cached on the machine, a key costs only its own string.
+// TestCellKeyAllocs guards the served memory-hit path, Runner.Cached: with
+// the machine fingerprint cached on the machine, a hit costs only its key
+// string.
 func TestCellKeyAllocs(t *testing.T) {
 	r := NewRunner()
+	if err := r.EnableCache(""); err != nil {
+		t.Fatal(err)
+	}
 	for _, m := range []*topology.Machine{topology.Zoot(), topology.IG()} {
-		cfg := Config{Machine: m, Comp: KNEMColl(), Op: OpBcast, Size: 1 << 20}
-		r.CellKey(cfg) // computes the fingerprint once
-		if n := testing.AllocsPerRun(100, func() { r.CellKey(cfg) }); n > 2 {
-			t.Errorf("%s: CellKey allocates %v objects per call, want <= 2", m.Name, n)
+		cfg := Config{Machine: m, Comp: KNEMColl(), Op: OpBcast, Size: 1 << 20, Iters: 1}
+		want := r.MustMeasure(cfg) // fills the memo; computes the fingerprint once
+		if got, ok := r.Cached(cfg); !ok || got.Seconds != want.Seconds || got.Stats.String() != want.Stats.String() {
+			t.Fatalf("%s: Cached = %v, %v; want the measured %v", m.Name, got.Seconds, ok, want.Seconds)
 		}
+		if n := testing.AllocsPerRun(100, func() { r.Cached(cfg) }); n > 2 {
+			t.Errorf("%s: a Cached hit allocates %v objects per call, want <= 2", m.Name, n)
+		}
+	}
+	if hits, misses := r.CacheCounts(); hits != 0 || misses != 2 {
+		t.Fatalf("counters after Cached hits: %d hits, %d misses; want 0 and 2 (Cached counts nothing)", hits, misses)
 	}
 }
 
@@ -86,11 +96,12 @@ func BenchmarkCellKey(b *testing.B) {
 	for _, name := range []string{"IG", "MC512"} {
 		b.Run(name, func(b *testing.B) {
 			r := NewRunner()
+			r.EnableCache("")
 			cfg := Config{Machine: topology.ByName(name), Comp: TunedSM(), Op: OpGather, Size: 64 << 10, OffCache: true}
-			r.CellKey(cfg) // the machine's first key computes its fingerprint
+			r.Cached(cfg) // the machine's first key computes its fingerprint
 			b.ReportAllocs()
 			for b.Loop() {
-				r.CellKey(cfg)
+				r.Cached(cfg)
 			}
 		})
 	}

@@ -36,7 +36,7 @@ type LoadReport struct {
 	P99Seconds  float64 `json:"p99_seconds"`
 	// HitRate is the server-side cache hit rate over this run's window:
 	// the fraction of served cells answered without a fresh simulation —
-	// from the LRU, the persistent memo layer, or a singleflight wait.
+	// from the runner memo's memory or disk layer, or a singleflight wait.
 	HitRate float64 `json:"hit_rate"`
 	// Body is the byte-identical response body every request returned.
 	Body []byte `json:"-"`

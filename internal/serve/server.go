@@ -5,14 +5,18 @@
 //
 // The serving stack, top to bottom:
 //
-//	handler → singleflight (bench) → bounded sharded LRU (store) →
-//	persistent disk shards (bench memo) → pooled engine shards (runner)
+//	handler → runner memo, in memory (bench.Runner.Cached) →
+//	singleflight → disk memo → pooled engine shards (bench.Runner.MeasureCtx)
 //
-// and the determinism contract is per request: the response body of
-// POST /v1/cells is a pure function of the request — same machine, cells,
-// and installed decision tables produce byte-identical bodies whether the
-// cells are simulated, deduplicated against an identical in-flight
-// request, served from the LRU, or replayed from disk, at any concurrency.
+// The runner's memo is the only cell cache: a cell it holds in memory is
+// answered without taking a worker slot; any other cell goes through
+// MeasureCtx, which replays it from disk, waits on an identical in-flight
+// cell, or simulates it. The determinism contract is per request: the
+// response body of POST /v1/cells is a pure function of the request —
+// same machine, cells, and installed decision tables produce
+// byte-identical bodies whether the cells are simulated, deduplicated
+// against an identical in-flight request, or replayed from memory or
+// disk, at any concurrency.
 package serve
 
 import (
@@ -40,15 +44,14 @@ type Options struct {
 	// the machine, so every cell on it shares one memory-system net per
 	// measurement shard.
 	Machines func(name string) *topology.Machine
-	// Runner measures the server's cells: its memo, decision set (which
-	// backs GET /v1/decisions and steers cells exactly like imb
-	// -decisions), counters and shard pool. Nil means bench.Default.
+	// Runner measures the server's cells: its memo (the server's only
+	// cell cache), decision set (which backs GET /v1/decisions and steers
+	// cells exactly like imb -decisions), counters and shard pool. Nil
+	// means bench.Default.
 	Runner *bench.Runner
-	// LRUSize bounds the in-memory serving cache, in cells (default 4096).
-	LRUSize int
 	// Workers caps concurrently simulating cells server-wide (default
 	// GOMAXPROCS): batches saturate the cores through the shard pool while
-	// cache hits bypass the limit entirely.
+	// memory hits bypass the limit entirely.
 	Workers int
 	// MaxCells bounds the cells of one batch/sweep request (default 4096).
 	MaxCells int
@@ -58,19 +61,19 @@ type Options struct {
 // serve via Handler.
 type Server struct {
 	opts  Options
-	store *store
 	mux   *http.ServeMux
 	sem   chan struct{}
 	start time.Time
 
 	inflight atomic.Int64 // cells currently being evaluated
+	memHits  atomic.Int64 // cells answered by Runner.Cached
 	batches  atomic.Int64
 	sweeps   atomic.Int64
 	lookups  atomic.Int64
 
 	histBatch hist // whole POST /v1/cells requests
 	histCell  hist // every served cell (hits and simulations alike)
-	histSim   hist // cells that reached the runner (LRU misses)
+	histSim   hist // cells that reached MeasureCtx (memory misses)
 }
 
 // memoMachines wraps resolve so each name is built once. Only known names
@@ -109,9 +112,6 @@ func New(opts Options) *Server {
 		opts.Machines = topology.ByName
 	}
 	opts.Machines = memoMachines(opts.Machines)
-	if opts.LRUSize <= 0 {
-		opts.LRUSize = 4096
-	}
 	if opts.Workers <= 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -120,7 +120,6 @@ func New(opts Options) *Server {
 	}
 	s := &Server{
 		opts:  opts,
-		store: newStore(opts.LRUSize),
 		sem:   make(chan struct{}, opts.Workers),
 		start: time.Now(),
 	}
@@ -134,32 +133,6 @@ func New(opts Options) *Server {
 
 // Handler returns the HTTP handler serving the /v1 API.
 func (s *Server) Handler() http.Handler { return s.mux }
-
-// WarmEntry is one persisted serving-cache cell: the content-addressed
-// cell key and its simulated seconds. A daemon dumps its hot set as warm
-// entries on drain and preloads them on the next boot, so a restart
-// starts with yesterday's working set already resident instead of paying
-// a cold LRU.
-type WarmEntry struct {
-	Key     string  `json:"key"`
-	Seconds float64 `json:"seconds"`
-}
-
-// WarmSnapshot returns the serving cache's resident entries, sorted by
-// key (so dumps of the same hot set are byte-identical).
-func (s *Server) WarmSnapshot() []WarmEntry { return s.store.snapshot() }
-
-// WarmPreload seeds the serving cache from a previous run's snapshot and
-// reports how many entries were loaded. Entries are inserted in order, so
-// if the snapshot exceeds the cache's capacity the later (higher-keyed)
-// entries win. Determinism is unaffected: a warm entry holds exactly the
-// seconds the simulator would recompute for its key.
-func (s *Server) WarmPreload(entries []WarmEntry) int {
-	for _, e := range entries {
-		s.store.put(e.Key, e.Seconds)
-	}
-	return len(entries)
-}
 
 // CellSpec is one requested measurement cell. Zero NP and Iters take the
 // measurement harness defaults (all cores, 3 iterations); responses echo
@@ -220,14 +193,13 @@ type DecisionResponse struct {
 	Cell    *tune.Cell `json:"cell,omitempty"`
 }
 
-// CacheStats is the layered cache picture in GET /v1/stats.
+// CacheStats is the cache picture in GET /v1/stats.
 type CacheStats struct {
+	// LRUHits counts the cells answered from the runner memo's in-memory
+	// layer without reaching MeasureCtx (the server's memory hits).
 	LRUHits    int64   `json:"lru_hits"`
-	LRUMisses  int64   `json:"lru_misses"`
-	LRULen     int     `json:"lru_len"`
-	LRUCap     int     `json:"lru_cap"`
-	HitRate    float64 `json:"hit_rate"` // LRU + memo hits over all cells
-	SimHits    int64   `json:"sim_hits"` // the runner's memo layer (memory + disk)
+	HitRate    float64 `json:"hit_rate"` // memory + memo hits over all cells
+	SimHits    int64   `json:"sim_hits"` // MeasureCtx's memo hits (disk, or a memory entry filled meanwhile)
 	SimMisses  int64   `json:"sim_misses"`
 	SimDeduped int64   `json:"sim_deduped"` // singleflight waits
 }
@@ -326,12 +298,13 @@ func (s *Server) cellConfigs(req *BatchRequest) (*topology.Machine, []bench.Conf
 }
 
 // layerTimes sums, over the cells of one batch, the wall time each layer
-// of the serving stack spent on them: building cache keys, the LRU, and
-// the runner (MeasureCtx: memo, singleflight, simulation). POST /v1/cells
-// reports it as its Server-Timing header, so a slow batch can be
-// attributed to a layer from the response alone.
+// of the serving stack spent on them: the in-memory memo lookup
+// (Runner.Cached, key included) and the runner (MeasureCtx: disk memo,
+// singleflight, simulation). POST /v1/cells reports it as its
+// Server-Timing header, so a slow batch can be attributed to a layer from
+// the response alone.
 type layerTimes struct {
-	key, lru, run atomic.Int64 // nanoseconds
+	memo, run atomic.Int64 // nanoseconds
 }
 
 // serverTiming renders t as a Server-Timing header value, in ms.
@@ -339,11 +312,12 @@ func (t *layerTimes) serverTiming() string {
 	ms := func(ns *atomic.Int64) string {
 		return strconv.FormatFloat(float64(ns.Load())/1e6, 'f', -1, 64)
 	}
-	return "key;dur=" + ms(&t.key) + ", lru;dur=" + ms(&t.lru) + ", run;dur=" + ms(&t.run)
+	return "memo;dur=" + ms(&t.memo) + ", run;dur=" + ms(&t.run)
 }
 
-// evalCell serves one cell through the layered caches, recording latency,
-// in-flight accounting and the batch's per-layer times.
+// evalCell serves one cell through the runner's memo, recording latency,
+// in-flight accounting and the batch's per-layer times. Memory hits skip
+// the worker semaphore; everything else takes a slot for MeasureCtx.
 func (s *Server) evalCell(ctx context.Context, cfg bench.Config, lt *layerTimes) (float64, error) {
 	t0 := time.Now()
 	s.inflight.Add(1)
@@ -351,15 +325,11 @@ func (s *Server) evalCell(ctx context.Context, cfg bench.Config, lt *layerTimes)
 		s.inflight.Add(-1)
 		s.histCell.observe(time.Since(t0))
 	}()
-	key, keyed := s.opts.Runner.CellKey(cfg)
-	tLRU := time.Now()
-	lt.key.Add(int64(tLRU.Sub(t0)))
-	if keyed {
-		secs, ok := s.store.get(key)
-		lt.lru.Add(int64(time.Since(tLRU)))
-		if ok {
-			return secs, nil
-		}
+	res, ok := s.opts.Runner.Cached(cfg)
+	lt.memo.Add(int64(time.Since(t0)))
+	if ok {
+		s.memHits.Add(1)
+		return res.Seconds, nil
 	}
 	select {
 	case s.sem <- struct{}{}:
@@ -374,11 +344,6 @@ func (s *Server) evalCell(ctx context.Context, cfg bench.Config, lt *layerTimes)
 	lt.run.Add(int64(dSim))
 	if err != nil {
 		return 0, err
-	}
-	if keyed {
-		tPut := time.Now()
-		s.store.put(key, res.Seconds)
-		lt.lru.Add(int64(time.Since(tPut)))
 	}
 	return res.Seconds, nil
 }
@@ -554,7 +519,6 @@ func (s *Server) handleDecisions(w http.ResponseWriter, r *http.Request) {
 
 // handleStats is GET /v1/stats.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	lruHits, lruMisses := s.store.counts()
 	simHits, simMisses := s.opts.Runner.CacheCounts()
 	cells := s.histCell.total.Load()
 	resp := StatsResponse{
@@ -564,8 +528,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Sweeps:        s.sweeps.Load(),
 		Decisions:     s.lookups.Load(),
 		Cache: CacheStats{
-			LRUHits: lruHits, LRUMisses: lruMisses,
-			LRULen: s.store.len(), LRUCap: s.opts.LRUSize,
+			LRUHits: s.memHits.Load(),
 			SimHits: simHits, SimMisses: simMisses, SimDeduped: s.opts.Runner.DedupedCount(),
 		},
 		Shards:       s.opts.Runner.Shards(),

@@ -257,9 +257,20 @@ func TestValidation(t *testing.T) {
 	}
 }
 
+// memoOn returns a private runner with an in-memory memo, the cache
+// every served repeat comes from.
+func memoOn(t *testing.T) *bench.Runner {
+	t.Helper()
+	r := bench.NewRunner()
+	if err := r.EnableCache(""); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 // TestStatsEndpoint sanity-checks the counters after known traffic.
 func TestStatsEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Options{LRUSize: 64})
+	_, ts := newTestServer(t, Options{Runner: memoOn(t)})
 	body := mustJSON(t, testBatch())
 	if _, err := postCells(context.Background(), http.DefaultClient, ts.URL, body); err != nil {
 		t.Fatal(err)
@@ -273,9 +284,13 @@ func TestStatsEndpoint(t *testing.T) {
 	if st.Batches != 2 || st.CellLatency.Count != 2*n {
 		t.Fatalf("batches=%d cells=%d, want 2 and %d", st.Batches, st.CellLatency.Count, 2*n)
 	}
-	// Second batch is LRU-served even with the bench memo disabled.
+	// The second batch is answered from the memo's memory layer: it never
+	// reaches MeasureCtx, and nothing counts it twice.
 	if st.SimLatency.Count != n || st.Cache.LRUHits != n {
 		t.Fatalf("sims=%d lru_hits=%d, want %d each", st.SimLatency.Count, st.Cache.LRUHits, n)
+	}
+	if st.Cache.SimHits != 0 || st.Cache.SimMisses != n {
+		t.Fatalf("sim_hits=%d sim_misses=%d, want 0 and %d", st.Cache.SimHits, st.Cache.SimMisses, n)
 	}
 	if st.Cache.HitRate != 0.5 {
 		t.Fatalf("hit rate %v, want 0.5", st.Cache.HitRate)
@@ -285,6 +300,27 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if st.BatchLatency.Count != 2 || st.BatchLatency.P99Seconds < st.BatchLatency.P50Seconds {
 		t.Fatalf("batch latency hist: %+v", st.BatchLatency)
+	}
+}
+
+// TestNoCacheResimulates: with the memo off (simd -no-cache) nothing caches
+// cells, so a repeated batch simulates every cell again.
+func TestNoCacheResimulates(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	body := mustJSON(t, testBatch())
+	for range 2 {
+		if _, err := postCells(context.Background(), http.DefaultClient, ts.URL, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var st StatsResponse
+	getJSON(t, ts.URL+"/v1/stats", &st)
+	n := int64(len(testBatch().Cells))
+	if st.CellLatency.Count != 2*n || st.SimLatency.Count != 2*n {
+		t.Fatalf("cells=%d sims=%d, want %d each: the repeat must simulate again", st.CellLatency.Count, st.SimLatency.Count, 2*n)
+	}
+	if st.Cache.LRUHits != 0 || st.Cache.HitRate != 0 {
+		t.Fatalf("lru_hits=%d hit_rate=%v, want 0 and 0", st.Cache.LRUHits, st.Cache.HitRate)
 	}
 }
 
@@ -358,27 +394,6 @@ func TestClientDisconnectMidBatch(t *testing.T) {
 	}
 }
 
-// TestLRUEviction bounds the store: a server with a tiny LRU keeps serving
-// correctly while resident entries never exceed the cap.
-func TestLRUEviction(t *testing.T) {
-	st := newStore(storeShards) // one entry per shard
-	for i := 0; i < 10*storeShards; i++ {
-		st.put(fmt.Sprintf("key-%d", i), float64(i))
-	}
-	if n := st.len(); n > storeShards {
-		t.Fatalf("store holds %d entries, cap %d", n, storeShards)
-	}
-	// Update-in-place must not grow the store.
-	st.put("key-1", 99)
-	st.put("key-1", 100)
-	if n := st.len(); n > storeShards {
-		t.Fatalf("update grew the store to %d", n)
-	}
-	if v, ok := st.get("key-1"); ok && v != 100 {
-		t.Fatalf("updated entry reads %v", v)
-	}
-}
-
 func mustJSON(t *testing.T, v any) []byte {
 	t.Helper()
 	b, err := json.Marshal(v)
@@ -445,11 +460,11 @@ func TestMachinesResolvedOnce(t *testing.T) {
 	}
 }
 
-// TestServerTiming: POST /v1/cells attributes its batch's time to the key,
-// LRU and runner layers. A replayed batch served entirely from the LRU
-// never reaches the runner, so it reports run;dur=0.
+// TestServerTiming: POST /v1/cells attributes its batch's time to the
+// in-memory memo lookup and the runner. A replayed batch served entirely
+// from memory never reaches MeasureCtx, so it reports run;dur=0.
 func TestServerTiming(t *testing.T) {
-	_, ts := newTestServer(t, Options{LRUSize: 64})
+	_, ts := newTestServer(t, Options{Runner: memoOn(t)})
 	body := mustJSON(t, testBatch())
 	timing := func() string {
 		t.Helper()
@@ -463,13 +478,13 @@ func TestServerTiming(t *testing.T) {
 		}
 		return resp.Header.Get("Server-Timing")
 	}
-	shape := regexp.MustCompile(`^key;dur=[0-9.]+, lru;dur=[0-9.]+, run;dur=([0-9.]+)$`)
+	shape := regexp.MustCompile(`^memo;dur=[0-9.]+, run;dur=([0-9.]+)$`)
 	cold := timing()
 	if m := shape.FindStringSubmatch(cold); m == nil || m[1] == "0" {
 		t.Fatalf("cold batch Server-Timing = %q, want every layer and a nonzero run", cold)
 	}
 	warm := timing()
 	if m := shape.FindStringSubmatch(warm); m == nil || m[1] != "0" {
-		t.Fatalf("LRU-replayed batch Server-Timing = %q, want run;dur=0", warm)
+		t.Fatalf("memory-replayed batch Server-Timing = %q, want run;dur=0", warm)
 	}
 }
